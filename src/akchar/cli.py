@@ -29,6 +29,8 @@ from .verify import SUITE_NAMES, run_suite
 
 __all__ = ["main", "build_parser"]
 
+MAX_JOBS = 64
+
 
 def _parse_vector(text: str, flag: str) -> tuple[int, ...]:
     try:
@@ -38,6 +40,16 @@ def _parse_vector(text: str, flag: str) -> tuple[int, ...]:
     if not vec or any(x < 0 for x in vec):
         raise ValueError(f"{flag} entries must be nonnegative integers")
     return vec
+
+
+def _jobs(text: str) -> int:
+    try:
+        jobs = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
+    if not 1 <= jobs <= MAX_JOBS:
+        raise argparse.ArgumentTypeError(f"must be in 1..{MAX_JOBS}, got {jobs}")
+    return jobs
 
 
 def _parse_spec_tag(text: str) -> tuple[str, int]:
@@ -113,7 +125,7 @@ def run_chars(args) -> int:
             raise ValueError("chars needs --n >= 1 (or an explicit --mu)")
         n = args.n
         mus = list_multipartitions(m, n)
-    spec = CharSpec(m, k, l, n=n, tag=args.spec)
+    spec = CharSpec(m, k, l, n=n)
 
     def evaluate(mu):
         if tag == "group":
@@ -302,8 +314,9 @@ def build_parser() -> argparse.ArgumentParser:
                            help="comma-separated odd letter counts per color")
         p.add_argument("--format", choices=formats, default=formats[0])
         p.add_argument("--out", default=None, help="output path (default stdout)")
-        p.add_argument("--jobs", type=int, default=1,
-                       help="parallelism degree (output is identical for any value)")
+        p.add_argument("--jobs", type=_jobs, default=1,
+                       help=f"parallelism degree, 1..{MAX_JOBS} (output is "
+                            "identical for any value)")
 
     chars = sub.add_parser("chars", help="character table for all multipartitions of n")
     add_common(chars)
@@ -356,7 +369,7 @@ def main(argv=None) -> int:
         return 0 if exc.code in (0, None) else int(exc.code)
     try:
         return _RUNNERS[args.command](args)
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -101,7 +101,7 @@ def parse_multipartition(text: str, m: int | None = None):
         if not isinstance(comp, list):
             raise ValueError(f"malformed multipartition {text!r}")
         parts = tuple(comp)
-        if not all(isinstance(p, int) and p > 0 for p in parts):
+        if not all(type(p) is int and p > 0 for p in parts):
             raise ValueError(f"parts must be positive integers in {text!r}")
         if any(parts[i] < parts[i + 1] for i in range(len(parts) - 1)):
             raise ValueError(f"parts must be weakly decreasing in {text!r}")

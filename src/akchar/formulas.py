@@ -2,7 +2,9 @@
 
 The generic value of a standard element factors over the parts of the
 multipartition; each factor is a sum over bounded composition pairs with a
-sign, a power of (1-q), a color variable, and binomial multiplicities.
+sign, a power of (1-q), a color variable, and binomial multiplicities,
+evaluated by a dynamic program over the colors that is polynomial in the
+block size.
 Specializations: values at roots of unity (group algebra), first-order
 expansions around q = 1, single-hook coefficient slices, and the literal
 two-component comparison formulas.
@@ -13,7 +15,8 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .combinat import list_graded_pairs, mp_length, mp_size, pair_stats
+from .combinat import list_graded_pairs  # noqa: F401  (bench/spans.py wraps this name)
+from .combinat import mp_length, mp_size
 from .rings import CycloElem, MultiPoly, TruncSeries, expand_at_q1
 
 __all__ = [
@@ -35,13 +38,12 @@ __all__ = [
 
 @dataclass(frozen=True)
 class CharSpec:
-    """Shape of a character problem: color counts and an optional size/tag."""
+    """Shape of a character problem: color counts and an optional size."""
 
     m: int
     k: tuple[int, ...]
     l: tuple[int, ...]
     n: int | None = None
-    tag: str = "generic"
 
     def __post_init__(self):
         object.__setattr__(self, "k", tuple(int(x) for x in self.k))
@@ -79,25 +81,47 @@ def _neg_q_power(e: int, m: int) -> MultiPoly:
     return -p if e % 2 else p
 
 
+def _add_slot(states: dict, bound: int, a: int, odd: bool) -> dict:
+    """Fold one composition slot with at most ``bound`` parts into the
+    ``(size, parts, odd excess)`` counts ``states``.  A slot of size s in p
+    parts has C(bound, p) * C(s-1, p-1) choices; its excess is s - p on odd
+    slots and 0 on even ones.  Sizes above ``a`` are dropped."""
+    out = dict(states)
+    for p in range(1, bound + 1):
+        ways = math.comb(bound, p)
+        for s in range(p, a + 1):
+            count = ways * math.comb(s - 1, p - 1)
+            excess = s - p if odd else 0
+            for (size, parts, e), c in states.items():
+                if size + s <= a:
+                    key = (size + s, parts + p, e + excess)
+                    out[key] = out.get(key, 0) + c * count
+    return out
+
+
 @lru_cache(maxsize=None)
 def _theta(r: int, a: int, m: int, k, l) -> MultiPoly:
-    one_minus_q = MultiPoly.one(m) - MultiPoly.q_power(1, m)
-    power_cache = [MultiPoly.one(m)]
-    total = MultiPoly.zero(m)
-    for pair in list_graded_pairs(a, k, l):
-        length, last, beta_size, beta_length = pair_stats(pair)
-        mult = 1
-        for i in range(m):
-            mult *= math.comb(k[i], len(pair.alpha[i]))
-            mult *= math.comb(l[i], len(pair.beta[i]))
-        while len(power_cache) <= length - 1:
-            power_cache.append(power_cache[-1] * one_minus_q)
-        term = MultiPoly.const(mult, m)
-        term = term * MultiPoly.u_power(last, m, r - 1)
-        term = term * _neg_q_power(beta_size - beta_length, m)
-        term = term * power_cache[length - 1]
-        total = total + term
-    return total
+    # A pair enters only through its length j, last occupied color L, odd
+    # excess e = |beta| - len(beta) and binomial multiplicity c; the summand
+    # is c * (-q)**e * (1-q)**(j-1) * u_L**(r-1).  Count (size, j, e) over
+    # the colors up to L; the pairs whose last occupied color is L are those
+    # counted up to L but not up to L - 1.
+    terms: dict[tuple[int, ...], int] = {}
+    states = {(0, 0, 0): 1}
+    for last in range(1, m + 1):
+        grown = _add_slot(_add_slot(states, k[last - 1], a, False),
+                          l[last - 1], a, True)
+        u_key = tuple(r - 1 if i == last else 0 for i in range(1, m + 1))
+        for (size, j, e), c in grown.items():
+            c -= states.get((size, j, e), 0)
+            if size != a or not c:
+                continue
+            c = -c if e % 2 else c
+            for t in range(j):  # (1-q)**(j-1)
+                key = (e + t,) + u_key
+                terms[key] = terms.get(key, 0) + (-1) ** t * math.comb(j - 1, t) * c
+        states = grown
+    return MultiPoly(m, terms)
 
 
 def theta(r: int, a: int, spec: CharSpec) -> MultiPoly:

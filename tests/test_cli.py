@@ -5,6 +5,8 @@ from pathlib import Path
 
 import pytest
 
+import akchar.cli
+import akchar.verify
 from akchar.cli import main
 
 
@@ -78,6 +80,35 @@ class TestChars:
             capsys, "chars", "--k", "1", "--l", "1", "--mu", "[[2]]", "--n", "3",
         )
         assert code == 2
+
+    def test_bool_parts_rejected(self, capsys):
+        code, out, err = run_cli(
+            capsys, "chars", "--k", "1", "--l", "1", "--mu", "[[true,true]]",
+        )
+        assert code == 2 and out == ""
+        assert "error" in err
+
+    def test_unwritable_out(self, capsys, tmp_path):
+        path = tmp_path / "missing" / "table.json"
+        code, out, err = run_cli(
+            capsys, "chars", "--k", "1", "--l", "1", "--n", "1",
+            "--out", str(path),
+        )
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and "Traceback" not in err
+
+    @pytest.mark.parametrize("jobs", ["0", "65", "-1", "x"])
+    def test_jobs_out_of_range(self, capsys, monkeypatch, jobs):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a rejected --jobs must start no threads")
+
+        monkeypatch.setattr(akchar.cli, "ThreadPoolExecutor", no_pool)
+        monkeypatch.setattr(akchar.verify, "ThreadPoolExecutor", no_pool)
+        code, out, err = run_cli(
+            capsys, "chars", "--k", "1", "--l", "1", "--n", "2", "--jobs", jobs,
+        )
+        assert code == 2 and out == ""
+        assert "--jobs" in err
 
     def test_out_file(self, capsys, tmp_path):
         path = tmp_path / "table.json"

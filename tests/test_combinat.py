@@ -272,3 +272,8 @@ class TestParsing:
     def test_component_count_checked(self):
         with pytest.raises(ValueError):
             parse_multipartition("[[1]]", m=2)
+
+    def test_bool_parts_rejected(self):
+        # a JSON true is an int to Python; it must not pass as the part 1
+        with pytest.raises(ValueError):
+            parse_multipartition("[[true,true]]")

@@ -1,6 +1,8 @@
+import math
+
 import pytest
 
-from akchar.combinat import list_multipartitions
+from akchar.combinat import list_graded_pairs, list_multipartitions, pair_stats
 from akchar.formulas import (
     CharSpec,
     bracket,
@@ -68,6 +70,55 @@ class TestTheta:
             theta(2, 1, spec)
         with pytest.raises(ValueError):
             theta(1, 0, spec)
+
+
+def theta_by_pairs(r, a, spec):
+    """Reference block trace: the signed sum over every bounded composition
+    pair, one term per pair."""
+    m, k, l = spec.m, spec.k, spec.l
+    one_minus_q = MultiPoly.one(m) - MultiPoly.q_power(1, m)
+    total = MultiPoly.zero(m)
+    for pair in list_graded_pairs(a, k, l):
+        length, last, beta_size, beta_length = pair_stats(pair)
+        mult = 1
+        for i in range(m):
+            mult *= math.comb(k[i], len(pair.alpha[i]))
+            mult *= math.comb(l[i], len(pair.beta[i]))
+        excess = beta_size - beta_length
+        term = MultiPoly.const(-mult if excess % 2 else mult, m)
+        term = term * MultiPoly.u_power(last, m, r - 1)
+        term = term * MultiPoly.q_power(excess, m)
+        term = term * one_minus_q ** (length - 1)
+        total = total + term
+    return total
+
+
+class TestThetaByColors:
+    """The dynamic program over colors against the pair-by-pair sum."""
+
+    @pytest.mark.parametrize("k,l", [
+        ((1,), (1,)),
+        ((2,), (0,)),
+        ((0,), (3,)),
+        ((2, 1), (1, 2)),
+        ((1, 0), (0, 0)),
+        ((3, 2, 1), (1, 2, 3)),
+        ((2, 0, 1), (0, 2, 1)),
+        ((2, 2, 2), (2, 2, 2)),
+    ])
+    def test_matches_pair_enumeration(self, k, l):
+        spec = CharSpec(len(k), k, l)
+        for a in range(1, 8):
+            for r in range(1, spec.m + 1):
+                assert theta(r, a, spec) == theta_by_pairs(r, a, spec), (r, a)
+
+    def test_large_block_group_value(self):
+        # 30 boxes is far beyond what pair enumeration reaches
+        spec = CharSpec(3, (2, 2, 2), (2, 2, 2))
+        for r in range(1, 4):
+            mu = tuple((30,) if i == r else () for i in range(1, 4))
+            assert specialize_to_group(theta(r, 30, spec), 3) == (
+                group_character_value(mu, spec)), r
 
 
 class TestCharacterValue:

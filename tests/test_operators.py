@@ -25,6 +25,41 @@ def unit(word, m):
     return TensorState.unit(word, m)
 
 
+class TestPackedRange:
+    """Exponents that would leave the packed 8-bit fields raise instead of
+    wrapping into a neighbouring field."""
+
+    def test_xi_power_256(self):
+        alph = GradedAlphabet((1,), (1,))
+        assert apply_generator(("xi", 1, 255), unit((1,), 1), alph) == TensorState(
+            1, {(1,): mp("u1^255", 1)}
+        )
+        with pytest.raises(ValueError):
+            apply_generator(("xi", 1, 256), unit((1,), 1), alph)
+
+    def test_scaling_a_high_u_power(self):
+        alph = GradedAlphabet((1, 1), (0, 0))
+        state = TensorState(1, {(1,): mp("u1^200", 2)})
+        with pytest.raises(ValueError):
+            apply_generator(("xi", 1, 100), state, alph)
+
+    def test_ginv_heavy_word(self):
+        # on two equal odd letters T^-1 acts as -q^-1
+        alph = GradedAlphabet((1,), (1,))
+        state = unit((2, 2), 1)
+        for _ in range(128):
+            state = apply_generator(("ginv", 1), state, alph)
+        assert state == TensorState(2, {(2, 2): mp("q^-128", 1)})
+        with pytest.raises(ValueError):
+            apply_generator(("ginv", 1), state, alph)
+
+    def test_long_trace_word(self):
+        alph = GradedAlphabet((1,), (1,))
+        trace_of_word((("g", 1),) * 127, 2, alph)
+        with pytest.raises(ValueError):
+            trace_of_word((("g", 1),) * 128, 2, alph)
+
+
 class TestApplyGenerator:
     def test_quantum_swap_mixed_parity(self):
         alph = GradedAlphabet((1,), (1,))  # letter 1 even, letter 2 odd
