@@ -81,6 +81,27 @@ def _neg_q_power(e: int, m: int) -> MultiPoly:
     return -p if e % 2 else p
 
 
+def _one_minus_q(m: int) -> MultiPoly:
+    return MultiPoly.one(m) - MultiPoly.q_power(1, m)
+
+
+def _hook_factor(x: int, c, m: int) -> MultiPoly:
+    """The per-part hook factor [x]_{-q} + c*x(1-q)[x-1]_{-q}, where ``c`` is
+    an integer or a polynomial."""
+    return bracket(x, "-q", m) + c * x * _one_minus_q(m) * bracket(x - 1, "-q", m)
+
+
+def _check_mu(mu, m: int, n: int | None = None) -> tuple:
+    """``mu`` as a tuple of tuples, checked to have ``m`` components and,
+    when ``n`` is given, size ``n``."""
+    mu = tuple(tuple(comp) for comp in mu)
+    if len(mu) != m:
+        raise ValueError(f"expected {m} components, got {len(mu)}")
+    if n is not None and mp_size(mu) != n:
+        raise ValueError(f"multipartition size {mp_size(mu)} != n={n}")
+    return mu
+
+
 def _add_slot(states: dict, bound: int, a: int, odd: bool) -> dict:
     """Fold one composition slot with at most ``bound`` parts into the
     ``(size, parts, odd excess)`` counts ``states``.  A slot of size s in p
@@ -125,22 +146,20 @@ def _theta(r: int, a: int, m: int, k, l) -> MultiPoly:
 
 
 def theta(r: int, a: int, spec: CharSpec) -> MultiPoly:
-    """Trace contribution of one standard block of size ``a`` in color ``r``."""
+    """Trace contribution of one standard block of size ``a`` in color ``r``.
+    The result is the caller's own copy of the cached value."""
     if not 1 <= r <= spec.m:
         raise ValueError(f"color {r} out of range 1..{spec.m}")
     if a < 1:
         raise ValueError("block size must be positive")
-    return _theta(r, a, spec.m, spec.k, spec.l)
+    cached = _theta(r, a, spec.m, spec.k, spec.l)
+    return MultiPoly._raw(spec.m, dict(cached.terms))
 
 
 def character_value(mu, spec: CharSpec) -> MultiPoly:
     """Closed-form character value of the standard element of ``mu``:
     the product of per-part block traces."""
-    mu = tuple(tuple(comp) for comp in mu)
-    if len(mu) != spec.m:
-        raise ValueError(f"expected {spec.m} components, got {len(mu)}")
-    if spec.n is not None and mp_size(mu) != spec.n:
-        raise ValueError(f"multipartition size {mp_size(mu)} != n={spec.n}")
+    mu = _check_mu(mu, spec.m, spec.n)
     result = MultiPoly.one(spec.m)
     for r, comp in enumerate(mu, start=1):
         for part in comp:
@@ -151,11 +170,7 @@ def character_value(mu, spec: CharSpec) -> MultiPoly:
 def group_character_value(mu, spec: CharSpec) -> CycloElem:
     """Character value in the reflection-group specialization (q = 1 and
     u_i the powers of a primitive m-th root of unity)."""
-    mu = tuple(tuple(comp) for comp in mu)
-    if len(mu) != spec.m:
-        raise ValueError(f"expected {spec.m} components, got {len(mu)}")
-    if spec.n is not None and mp_size(mu) != spec.n:
-        raise ValueError(f"multipartition size {mp_size(mu)} != n={spec.n}")
+    mu = _check_mu(mu, spec.m, spec.n)
     m = spec.m
     result = CycloElem.from_int(m, 1)
     for r, comp in enumerate(mu, start=1):
@@ -187,8 +202,7 @@ def theta_j(j: int, i: int, a: int) -> MultiPoly:
         raise ValueError("need i >= 1 and a >= 1")
     if not 1 <= j <= 2 * i:
         raise ValueError(f"length {j} out of range 1..{2 * i}")
-    one_minus_q = MultiPoly.one(0) - MultiPoly.q_power(1, 0)
-    prefactor = one_minus_q ** (j - 1)
+    prefactor = _one_minus_q(0) ** (j - 1)
     total = MultiPoly.zero(0)
     for s in range(a + 1):
         for alpha in _bounded_tuples(i, s):
@@ -217,12 +231,11 @@ def theta2_closed(i: int, a: int) -> MultiPoly:
     (1-q) * ((i-1)(a-1)(1 + (-q)**(a-2)) + (2i-1) * [a-1]_{-q})."""
     if i < 1 or a < 1:
         raise ValueError("need i >= 1 and a >= 1")
-    one_minus_q = MultiPoly.one(0) - MultiPoly.q_power(1, 0)
     inner = MultiPoly.const((i - 1) * (a - 1), 0) * (
         MultiPoly.one(0) + _neg_q_power(a - 2, 0)
     )
     inner = inner + MultiPoly.const(2 * i - 1, 0) * bracket(a - 1, "-q")
-    return one_minus_q * inner
+    return _one_minus_q(0) * inner
 
 
 def coef(a: int, i: int) -> MultiPoly:
@@ -239,32 +252,21 @@ def coef(a: int, i: int) -> MultiPoly:
 def coef_first_order(a: int, i: int) -> MultiPoly:
     """First-order model of ``coef``: 2[a]_{-q} + 2(i-1)a(1-q)[a-1]_{-q};
     exact for i = 1, and exact mod (1-q)^2 in general."""
-    one_minus_q = MultiPoly.one(0) - MultiPoly.q_power(1, 0)
-    return (
-        MultiPoly.const(2, 0) * bracket(a, "-q")
-        + MultiPoly.const(2 * (i - 1) * a, 0) * one_minus_q * bracket(a - 1, "-q")
-    )
+    return 2 * _hook_factor(a, i - 1, 0)
 
 
 def hook_sum_rhs(mu, m: int, order: int = 2) -> TruncSeries:
     """Truncated expansion of the weighted hook-character sum: the product
     over parts x of 2 * sum_i ([x]_{-q} + x(i-1)(1-q)[x-1]_{-q}) u_i**(r-1),
     expanded around q = 1."""
-    mu = tuple(tuple(comp) for comp in mu)
-    if len(mu) != m:
-        raise ValueError(f"expected {m} components, got {len(mu)}")
-    one_minus_q = MultiPoly.one(m) - MultiPoly.q_power(1, m)
+    mu = _check_mu(mu, m)
     poly = MultiPoly.const(2 ** mp_length(mu), m)
     for r, comp in enumerate(mu, start=1):
         for part in comp:
             inner = MultiPoly.zero(m)
             for i in range(1, m + 1):
-                summand = bracket(part, "-q", m) + (
-                    MultiPoly.const(part * (i - 1), m)
-                    * one_minus_q
-                    * bracket(part - 1, "-q", m)
-                )
-                inner = inner + summand * MultiPoly.u_power(i, m, r - 1)
+                u_power = MultiPoly.u_power(i, m, r - 1)
+                inner = inner + _hook_factor(part, i - 1, m) * u_power
             poly = poly * inner
     return expand_at_q1(poly, order)
 
@@ -272,9 +274,7 @@ def hook_sum_rhs(mu, m: int, order: int = 2) -> TruncSeries:
 def wreath_hook_value(mu, m: int) -> int:
     """Weighted hook-character sum in the reflection group: (2m)**len when
     only the first component is occupied and all its parts are odd, else 0."""
-    mu = tuple(tuple(comp) for comp in mu)
-    if len(mu) != m:
-        raise ValueError(f"expected {m} components, got {len(mu)}")
+    mu = _check_mu(mu, m)
     if any(comp for comp in mu[1:]):
         return 0
     if any(part % 2 == 0 for part in mu[0]):
@@ -293,20 +293,9 @@ def pair_regev_rhs(mu, order: int = 2) -> tuple[TruncSeries, int]:
     if mp_size(mu) < 1:
         raise ValueError("the pair must be nonempty")
     m = 2
-    one_minus_q = MultiPoly.one(m) - MultiPoly.q_power(1, m)
     poly = MultiPoly.const(2 ** (mp_length(mu) - 1), m)
-    for part in mu[0]:
-        poly = poly * (
-            bracket(part, "-q", m)
-            + MultiPoly.const(part, m) * one_minus_q * bracket(part - 1, "-q", m)
-        )
-    for part in mu[1]:
-        poly = poly * (
-            bracket(part, "-q", m)
-            + MultiPoly.const(part, m)
-            * one_minus_q
-            * bracket(part - 1, "-q", m)
-            * MultiPoly.u_power(2, m)
-        )
+    for c, comp in zip((1, MultiPoly.u_power(2, m)), mu):
+        for part in comp:
+            poly = poly * _hook_factor(part, c, m)
     group_value = (2 * m) ** mp_length(mu) // 2
     return expand_at_q1(poly, order), group_value

@@ -73,16 +73,6 @@ class GradedAlphabet:
         self._tables = None
         self._omega_cache: dict[int, tuple] = {}
 
-    def color_of(self, letter: int) -> int:
-        if not 1 <= letter <= self.size:
-            raise ValueError(f"letter {letter} out of range 1..{self.size}")
-        return self.colors[letter]
-
-    def parity_of(self, letter: int) -> int:
-        if not 1 <= letter <= self.size:
-            raise ValueError(f"letter {letter} out of range 1..{self.size}")
-        return self.parities[letter]
-
     # -- packed-exponent helpers --------------------------------------
 
     def _encode(self, eq: int, eu) -> int:
@@ -422,12 +412,13 @@ def _char_value_oracle(mu, k, l) -> MultiPoly:
 
 def char_value_oracle(mu, k, l) -> MultiPoly:
     """Brute-force character value: trace of the standard word on the full
-    tensor power."""
+    tensor power.  The result is the caller's own copy of the cached value."""
     mu = tuple(tuple(comp) for comp in mu)
     n = mp_size(mu)
     if n < 1:
         raise ValueError("the multipartition must have positive size")
-    return _char_value_oracle(mu, tuple(k), tuple(l))
+    cached = _char_value_oracle(mu, tuple(k), tuple(l))
+    return MultiPoly._raw(cached.m, dict(cached.terms))
 
 
 # -- Vandermonde data ---------------------------------------------------------
@@ -490,31 +481,24 @@ def _runner(word, n, alph):
     return run
 
 
-def check_ak_presentation(n: int, k, l) -> list[dict]:
-    """Verify the cyclotomic-generator presentation as operator identities on
-    every basis word; failures are reported with a witness, never raised."""
-    if n < 1:
-        raise ValueError("need n >= 1")
-    alph = GradedAlphabet(k, l)
+def _cyclotomic_lhs(alph, steps):
+    """Basis word -> (X - u_1)...(X - u_m) applied to it, where X acts by
+    ``steps``; zero on every word when X satisfies the cyclotomic relation."""
     zk = alph._zero_key
-    m = alph.m
-    report: list[dict] = []
-    g0_steps = _compile_word((("g0",),), n, alph)
 
-    def cyclotomic_lhs(basis):
+    def lhs(basis):
         state = {basis: {zk: 1}}
-        for c in range(1, m + 1):
-            applied = _apply_steps(state, g0_steps, zk)
+        for c in range(1, alph.m + 1):
+            applied = _apply_steps(state, steps, zk)
             state = _state_sub(applied, _state_scale(state, alph.u_raw(c), zk), zk)
         return state
 
-    _relation(report, "cyclotomic-g0", alph, n, cyclotomic_lhs, lambda basis: {})
+    return lhs
 
-    if n >= 2:
-        lhs = _runner((("g0",), ("g", 1), ("g0",), ("g", 1)), n, alph)
-        rhs = _runner((("g", 1), ("g0",), ("g", 1), ("g0",)), n, alph)
-        _relation(report, "braid-g0-g1", alph, n, lhs, rhs)
 
+def _hecke_relations(report, alph, n):
+    """The quadratic, far-commutation and braid relations of g_1..g_{n-1}."""
+    zk = alph._zero_key
     one_minus_q = {zk: 1, (_EQ_OFFSET + 1) << alph._shift: -1}
     q_raw = {(_EQ_OFFSET + 1) << alph._shift: 1}
     for i in range(1, n):
@@ -541,6 +525,24 @@ def check_ak_presentation(n: int, k, l) -> list[dict]:
         rhs = _runner((("g", i + 1), ("g", i), ("g", i + 1)), n, alph)
         _relation(report, f"braid-g{i}-g{i + 1}", alph, n, lhs, rhs)
 
+
+def check_ak_presentation(n: int, k, l) -> list[dict]:
+    """Verify the cyclotomic-generator presentation as operator identities on
+    every basis word; failures are reported with a witness, never raised."""
+    if n < 1:
+        raise ValueError("need n >= 1")
+    alph = GradedAlphabet(k, l)
+    report: list[dict] = []
+    g0_steps = _compile_word((("g0",),), n, alph)
+    _relation(report, "cyclotomic-g0", alph, n, _cyclotomic_lhs(alph, g0_steps),
+              lambda basis: {})
+
+    if n >= 2:
+        lhs = _runner((("g0",), ("g", 1), ("g0",), ("g", 1)), n, alph)
+        rhs = _runner((("g", 1), ("g0",), ("g", 1), ("g0",)), n, alph)
+        _relation(report, "braid-g0-g1", alph, n, lhs, rhs)
+
+    _hecke_relations(report, alph, n)
     return report
 
 
@@ -554,32 +556,7 @@ def check_shoji_presentation(n: int, k, l) -> list[dict]:
     zk = alph._zero_key
     m = alph.m
     report: list[dict] = []
-
-    one_minus_q = {zk: 1, (_EQ_OFFSET + 1) << alph._shift: -1}
-    q_raw = {(_EQ_OFFSET + 1) << alph._shift: 1}
-    for i in range(1, n):
-        run_one = _runner((("g", i),), n, alph)
-        run_two = _runner((("g", i), ("g", i)), n, alph)
-
-        def rhs(basis, run_one=run_one):
-            unit = {basis: {zk: 1}}
-            return _state_add(
-                _state_scale(run_one(basis), one_minus_q, zk),
-                _state_scale(unit, q_raw, zk),
-            )
-
-        _relation(report, f"quadratic-g{i}", alph, n, run_two, rhs)
-
-    for i in range(1, n - 1):
-        lhs = _runner((("g", i), ("g", i + 1), ("g", i)), n, alph)
-        rhs = _runner((("g", i + 1), ("g", i), ("g", i + 1)), n, alph)
-        _relation(report, f"braid-g{i}-g{i + 1}", alph, n, lhs, rhs)
-
-    for i in range(1, n):
-        for j in range(i + 2, n):
-            lhs = _runner((("g", i), ("g", j)), n, alph)
-            rhs = _runner((("g", j), ("g", i)), n, alph)
-            _relation(report, f"commute-g{i}-g{j}", alph, n, lhs, rhs)
+    _hecke_relations(report, alph, n)
 
     for i in range(1, n + 1):
         for j in range(i + 1, n + 1):
@@ -589,15 +566,8 @@ def check_shoji_presentation(n: int, k, l) -> list[dict]:
 
     for i in range(1, n + 1):
         xi_steps = _compile_word((("xi", i, 1),), n, alph)
-
-        def cyclo_lhs(basis, xi_steps=xi_steps):
-            state = {basis: {zk: 1}}
-            for c in range(1, m + 1):
-                applied = _apply_steps(state, xi_steps, zk)
-                state = _state_sub(applied, _state_scale(state, alph.u_raw(c), zk), zk)
-            return state
-
-        _relation(report, f"cyclotomic-xi{i}", alph, n, cyclo_lhs, lambda basis: {})
+        _relation(report, f"cyclotomic-xi{i}", alph, n,
+                  _cyclotomic_lhs(alph, xi_steps), lambda basis: {})
 
     for j in range(1, n):
         for i in range(1, n + 1):

@@ -24,7 +24,57 @@ __all__ = [
 ]
 
 
-class MultiPoly:
+class _Ring:
+    """Subtraction and powers, derived from a subclass's ``_coerce``, ``+``,
+    unary ``-`` and ``*``."""
+
+    __slots__ = ()
+
+    def __sub__(self, other):
+        other = self._coerce(other)
+        if other is None:
+            return NotImplemented
+        return self + (-other)
+
+    def __rsub__(self, other):
+        other = self._coerce(other)
+        if other is None:
+            return NotImplemented
+        return other + (-self)
+
+    def __pow__(self, e: int):
+        if not isinstance(e, int) or e < 0:
+            raise ValueError("only nonnegative integer powers are defined")
+        result = self._coerce(1)
+        base = self
+        while e:
+            if e & 1:
+                result = result * base
+            base = base * base if e > 1 else base
+            e >>= 1
+        return result
+
+
+def _join_terms(terms) -> str:
+    """Canonical text of a sum from ``(coefficient, monomial text)`` pairs
+    with nonzero coefficients; the constant term has empty monomial text."""
+    pieces = []
+    for coeff, mono in terms:
+        mag = abs(coeff)
+        if mono and mag == 1:
+            body = mono
+        elif mono:
+            body = f"{mag}*{mono}"
+        else:
+            body = str(mag)
+        if not pieces:
+            pieces.append(f"-{body}" if coeff < 0 else body)
+        else:
+            pieces.append(f" - {body}" if coeff < 0 else f" + {body}")
+    return "".join(pieces) or "0"
+
+
+class MultiPoly(_Ring):
     """Laurent polynomial in q with polynomial variables u_1..u_m over Z.
 
     ``terms`` maps exponent keys ``(e_q, e_1, ..., e_m)`` to nonzero integer
@@ -147,18 +197,6 @@ class MultiPoly:
     def __neg__(self):
         return MultiPoly._raw(self.m, {k: -c for k, c in self.terms.items()})
 
-    def __sub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return other + (-self)
-
     def __mul__(self, other):
         other = self._coerce(other)
         if other is None:
@@ -178,21 +216,6 @@ class MultiPoly:
         return MultiPoly._raw(self.m, out)
 
     __rmul__ = __mul__
-
-    def __pow__(self, e: int):
-        if not isinstance(e, int) or e < 0:
-            raise ValueError(
-                "only nonnegative integer powers are defined; build q**-1 "
-                "with q_power"
-            )
-        result = MultiPoly.one(self.m)
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base if e > 1 else base
-            e >>= 1
-        return result
 
     # -- variable manipulation -------------------------------------------
 
@@ -231,24 +254,9 @@ class MultiPoly:
 
     def to_text(self) -> str:
         """Canonical text form: terms sorted by (e_q, e_1, ..., e_m)."""
-        if not self.terms:
-            return "0"
-        pieces = []
-        for key in sorted(self.terms):
-            coeff = self.terms[key]
-            mono = self._monomial_text(key)
-            mag = abs(coeff)
-            if mono and mag == 1:
-                body = mono
-            elif mono:
-                body = f"{mag}*{mono}"
-            else:
-                body = str(mag)
-            if not pieces:
-                pieces.append(f"-{body}" if coeff < 0 else body)
-            else:
-                pieces.append(f" - {body}" if coeff < 0 else f" + {body}")
-        return "".join(pieces)
+        return _join_terms(
+            [(self.terms[key], self._monomial_text(key)) for key in sorted(self.terms)]
+        )
 
     @classmethod
     def from_text(cls, text: str, m: int) -> "MultiPoly":
@@ -389,7 +397,7 @@ def _cyclo_reduce(coeffs: list[int], m: int) -> tuple[int, ...]:
     return tuple(cs[:deg])
 
 
-class CycloElem:
+class CycloElem(_Ring):
     """Residue class in Z[x]/Phi_m(x), x a fixed primitive m-th root of unity.
 
     ``coeffs`` has fixed length deg Phi_m; for m = 1 the type reduces to
@@ -451,18 +459,6 @@ class CycloElem:
     def __neg__(self):
         return CycloElem._raw(self.m, tuple(-c for c in self.coeffs))
 
-    def __sub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return other + (-self)
-
     def __mul__(self, other):
         other = self._coerce(other)
         if other is None:
@@ -477,18 +473,6 @@ class CycloElem:
 
     __rmul__ = __mul__
 
-    def __pow__(self, e: int):
-        if not isinstance(e, int) or e < 0:
-            raise ValueError("only nonnegative integer powers are defined")
-        result = CycloElem.from_int(self.m, 1)
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base if e > 1 else base
-            e >>= 1
-        return result
-
     def is_zero(self) -> bool:
         return not any(self.coeffs)
 
@@ -501,25 +485,10 @@ class CycloElem:
         return self.coeffs[0]
 
     def to_text(self) -> str:
-        if self.is_zero():
-            return "0"
-        pieces = []
-        for e, coeff in enumerate(self.coeffs):
-            if not coeff:
-                continue
-            mono = "" if e == 0 else ("x" if e == 1 else f"x^{e}")
-            mag = abs(coeff)
-            if mono and mag == 1:
-                body = mono
-            elif mono:
-                body = f"{mag}*{mono}"
-            else:
-                body = str(mag)
-            if not pieces:
-                pieces.append(f"-{body}" if coeff < 0 else body)
-            else:
-                pieces.append(f" - {body}" if coeff < 0 else f" + {body}")
-        return "".join(pieces)
+        return _join_terms(
+            (coeff, "" if e == 0 else "x" if e == 1 else f"x^{e}")
+            for e, coeff in enumerate(self.coeffs) if coeff
+        )
 
     def to_json(self) -> dict:
         return {"m": self.m, "coeffs": list(self.coeffs)}
@@ -532,7 +501,7 @@ class CycloElem:
         return f"CycloElem({self.to_text()!r}, m={self.m})"
 
 
-class TruncSeries:
+class TruncSeries(_Ring):
     """Truncated expansion in t = 1 - q: sum of c_j * t**j for j < order.
 
     Coefficients are integer polynomials in u_1..u_m with no q left in them.
@@ -606,18 +575,6 @@ class TruncSeries:
     def __neg__(self):
         return TruncSeries(self.order, self.m, [-c for c in self.coeffs])
 
-    def __sub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return other + (-self)
-
     def __mul__(self, other):
         other = self._coerce(other)
         if other is None:
@@ -633,14 +590,6 @@ class TruncSeries:
         return TruncSeries(self.order, self.m, out)
 
     __rmul__ = __mul__
-
-    def __pow__(self, e: int):
-        if not isinstance(e, int) or e < 0:
-            raise ValueError("only nonnegative integer powers are defined")
-        result = TruncSeries.const(1, self.m, self.order)
-        for _ in range(e):
-            result = result * self
-        return result
 
     def is_zero(self) -> bool:
         return all(c.is_zero() for c in self.coeffs)

@@ -1,13 +1,12 @@
 """Verification sweeps: each suite runs one family of identities over a
 bounded grid of shapes and sizes and reports every counterexample.
 
-The sweeps are pure and deterministic; with ``jobs > 1`` the per-case work is
-farmed out to a thread pool but case order (and therefore output) is fixed.
+The sweeps are pure and deterministic: cases run one after another in a
+fixed order, so the output is fixed too.
 """
 from __future__ import annotations
 
 import itertools
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 from .combinat import (
@@ -49,15 +48,8 @@ class SuiteResult:
         return not self.failures
 
 
-def _pmap(fn, items, jobs: int):
-    if jobs <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(fn, items))
-
-
-def _collect(name, cases, check, jobs) -> SuiteResult:
-    failures = [r for r in _pmap(check, cases, jobs) if r is not None]
+def _collect(name, cases, check) -> SuiteResult:
+    failures = [r for r in map(check, cases) if r is not None]
     return SuiteResult(name, len(cases), failures)
 
 
@@ -76,7 +68,7 @@ def _ns(n_lo, n_hi, max_n, n_only):
     return [n for n in range(n_lo, hi + 1) if n_only is None or n == n_only]
 
 
-def suite_oracle(max_n=None, m_only=None, n_only=None, jobs=1) -> SuiteResult:
+def suite_oracle(max_n=None, m_only=None, n_only=None) -> SuiteResult:
     """Closed form versus brute-force trace, as canonical polynomials."""
     cases = []
     for m in _ms((1, 2, 3), m_only):
@@ -97,10 +89,10 @@ def suite_oracle(max_n=None, m_only=None, n_only=None, jobs=1) -> SuiteResult:
             }
         return None
 
-    return _collect("oracle", cases, check, jobs)
+    return _collect("oracle", cases, check)
 
 
-def _relation_suite(name, checker, n_lo, max_n, m_only, n_only, jobs) -> SuiteResult:
+def _relation_suite(name, checker, n_lo, max_n, m_only, n_only) -> SuiteResult:
     cases = []
     for m in _ms((1, 2, 3), m_only):
         for k, l in _alphabet_configs(m, 3, 1, 3):
@@ -114,24 +106,24 @@ def _relation_suite(name, checker, n_lo, max_n, m_only, n_only, jobs) -> SuiteRe
             return {"n": n, "k": list(k), "l": list(l), "failed": bad}
         return None
 
-    return _collect(name, cases, check, jobs)
+    return _collect(name, cases, check)
 
 
-def suite_ak_relations(max_n=None, m_only=None, n_only=None, jobs=1) -> SuiteResult:
+def suite_ak_relations(max_n=None, m_only=None, n_only=None) -> SuiteResult:
     """Cyclotomic-generator presentation as operator identities."""
     return _relation_suite(
-        "ak-relations", check_ak_presentation, 1, max_n, m_only, n_only, jobs
+        "ak-relations", check_ak_presentation, 1, max_n, m_only, n_only
     )
 
 
-def suite_shoji_relations(max_n=None, m_only=None, n_only=None, jobs=1) -> SuiteResult:
+def suite_shoji_relations(max_n=None, m_only=None, n_only=None) -> SuiteResult:
     """Braid/color-scaling presentation as operator identities."""
     return _relation_suite(
-        "shoji-relations", check_shoji_presentation, 2, max_n, m_only, n_only, jobs
+        "shoji-relations", check_shoji_presentation, 2, max_n, m_only, n_only
     )
 
 
-def suite_specialization(max_n=None, m_only=None, n_only=None, jobs=1) -> SuiteResult:
+def suite_specialization(max_n=None, m_only=None, n_only=None) -> SuiteResult:
     """Root-of-unity specialization of the oracle versus the group formula."""
     cases = []
     for m in _ms((1, 2, 3, 4), m_only):
@@ -153,10 +145,10 @@ def suite_specialization(max_n=None, m_only=None, n_only=None, jobs=1) -> SuiteR
             }
         return None
 
-    return _collect("specialization", cases, check, jobs)
+    return _collect("specialization", cases, check)
 
 
-def suite_theta_closed_forms(max_n=None, m_only=None, n_only=None, jobs=1) -> SuiteResult:
+def suite_theta_closed_forms(max_n=None, m_only=None, n_only=None) -> SuiteResult:
     """Enumerated length slices versus the two closed forms."""
     a_hi = max_n if max_n is not None else 8
     cases = [(i, a) for i in (1, 2, 3) for a in range(1, a_hi + 1)]
@@ -173,10 +165,10 @@ def suite_theta_closed_forms(max_n=None, m_only=None, n_only=None, jobs=1) -> Su
                     "closed": theta2_closed(i, a).to_text()}
         return None
 
-    return _collect("theta-closed-forms", cases, check, jobs)
+    return _collect("theta-closed-forms", cases, check)
 
 
-def suite_coef(max_n=None, m_only=None, n_only=None, jobs=1) -> SuiteResult:
+def suite_coef(max_n=None, m_only=None, n_only=None) -> SuiteResult:
     """Single-hook coefficient identities: the exact first-color value, the
     first-order expansion, and reassembly into the block trace."""
     a_hi = max_n if max_n is not None else 8
@@ -214,10 +206,10 @@ def suite_coef(max_n=None, m_only=None, n_only=None, jobs=1) -> SuiteResult:
                         "sum": total.to_text(), "theta": want.to_text()}
         return None
 
-    return _collect("coef", cases, check, jobs)
+    return _collect("coef", cases, check)
 
 
-def suite_hook_sum(max_n=None, m_only=None, n_only=None, jobs=1) -> SuiteResult:
+def suite_hook_sum(max_n=None, m_only=None, n_only=None) -> SuiteResult:
     """Truncated expansion of the single-hook oracle trace versus the
     weighted hook-sum product, plus the exact single-row values."""
     cases = []
@@ -246,7 +238,7 @@ def suite_hook_sum(max_n=None, m_only=None, n_only=None, jobs=1) -> SuiteResult:
                     "oracle_mod_t2": got.to_text(), "hook_sum": want.to_text()}
         return None
 
-    result = _collect("hook-sum", cases, check, jobs)
+    result = _collect("hook-sum", cases, check)
     # pinned value: the two-color single two-cycle expands to exactly 8t
     if (m_only in (None, 2)) and (n_only in (None, 2)):
         result.cases += 1
@@ -258,7 +250,7 @@ def suite_hook_sum(max_n=None, m_only=None, n_only=None, jobs=1) -> SuiteResult:
     return result
 
 
-def suite_wreath(max_n=None, m_only=None, n_only=None, jobs=1) -> SuiteResult:
+def suite_wreath(max_n=None, m_only=None, n_only=None) -> SuiteResult:
     """Group specialization of the single-hook oracle versus the wreath
     closed form (an integer)."""
     cases = []
@@ -277,10 +269,10 @@ def suite_wreath(max_n=None, m_only=None, n_only=None, jobs=1) -> SuiteResult:
                     "specialized": got.to_text(), "wreath": want.to_text()}
         return None
 
-    return _collect("wreath", cases, check, jobs)
+    return _collect("wreath", cases, check)
 
 
-def suite_dimension_identity(max_n=None, m_only=None, n_only=None, jobs=1) -> SuiteResult:
+def suite_dimension_identity(max_n=None, m_only=None, n_only=None) -> SuiteResult:
     """Tableau-count identities: filling counts are positive exactly on hook
     shapes, single-hook counts are powers of two, and the weighted counts
     resolve the full tensor-power dimension."""
@@ -318,12 +310,11 @@ def suite_dimension_identity(max_n=None, m_only=None, n_only=None, jobs=1) -> Su
                     "sum": total, "expected": expected}
         return None
 
-    return _collect("dimension-identity", cases, check, jobs)
+    return _collect("dimension-identity", cases, check)
 
 
 _SUITES = {
     "oracle": suite_oracle,
-    "oracle-equivalence": suite_oracle,
     "ak-relations": suite_ak_relations,
     "shoji-relations": suite_shoji_relations,
     "specialization": suite_specialization,
@@ -334,22 +325,14 @@ _SUITES = {
     "dimension-identity": suite_dimension_identity,
 }
 
-SUITE_NAMES = [
-    "oracle",
-    "ak-relations",
-    "shoji-relations",
-    "specialization",
-    "theta-closed-forms",
-    "coef",
-    "hook-sum",
-    "wreath",
-    "dimension-identity",
-]
+SUITE_NAMES = list(_SUITES)
 
 
-def run_suite(name: str, max_n=None, m_only=None, n_only=None, jobs=1) -> SuiteResult:
+def run_suite(name: str, max_n=None, m_only=None, n_only=None) -> SuiteResult:
     try:
         fn = _SUITES[name]
     except KeyError:
-        raise ValueError(f"unknown suite {name!r}; choose from {SUITE_NAMES} or 'all'")
-    return fn(max_n=max_n, m_only=m_only, n_only=n_only, jobs=jobs)
+        raise ValueError(
+            f"unknown suite {name!r}; choose from {', '.join(SUITE_NAMES)} or all"
+        )
+    return fn(max_n=max_n, m_only=m_only, n_only=n_only)

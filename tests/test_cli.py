@@ -5,8 +5,6 @@ from pathlib import Path
 
 import pytest
 
-import akchar.cli
-import akchar.verify
 from akchar.cli import main
 
 
@@ -98,12 +96,7 @@ class TestChars:
         assert err.startswith("error: ") and "Traceback" not in err
 
     @pytest.mark.parametrize("jobs", ["0", "65", "-1", "x"])
-    def test_jobs_out_of_range(self, capsys, monkeypatch, jobs):
-        def no_pool(*args, **kwargs):
-            raise AssertionError("a rejected --jobs must start no threads")
-
-        monkeypatch.setattr(akchar.cli, "ThreadPoolExecutor", no_pool)
-        monkeypatch.setattr(akchar.verify, "ThreadPoolExecutor", no_pool)
+    def test_jobs_out_of_range(self, capsys, jobs):
         code, out, err = run_cli(
             capsys, "chars", "--k", "1", "--l", "1", "--n", "2", "--jobs", jobs,
         )
@@ -172,9 +165,10 @@ class TestVerify:
         assert "[pass]" in out
 
     def test_unknown_suite(self, capsys):
-        code, _, err = run_cli(capsys, "verify", "--suite", "nosuch")
-        assert code == 2
-        assert "unknown suite" in err
+        for suite in ("nosuch", "oracle-equivalence"):
+            code, _, err = run_cli(capsys, "verify", "--suite", suite)
+            assert code == 2
+            assert "unknown suite" in err
 
     def test_json_report(self, capsys):
         code, out, _ = run_cli(
@@ -241,3 +235,16 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["rows"]
+
+
+def test_cli_imports_no_executor():
+    # evaluation is sequential; the CLI loads no thread or process pool
+    env_path = str(Path(__file__).resolve().parent.parent / "src")
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, akchar.cli; print('concurrent.futures' in sys.modules)"],
+        capture_output=True, text=True,
+        env={"PYTHONPATH": env_path, "PATH": "/usr/bin:/bin"},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

@@ -71,6 +71,13 @@ class TestTheta:
         with pytest.raises(ValueError):
             theta(1, 0, spec)
 
+    def test_result_is_a_copy(self):
+        # mutating a returned block trace must not reach the cached one
+        spec = CharSpec(1, (1,), (1,))
+        theta(1, 2, spec).terms.clear()
+        assert theta(1, 2, spec) == mp("2 - 2*q", 1)
+        assert character_value(((2,),), spec) == mp("2 - 2*q", 1)
+
 
 def theta_by_pairs(r, a, spec):
     """Reference block trace: the signed sum over every bounded composition

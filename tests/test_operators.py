@@ -2,11 +2,13 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from akchar.combinat import list_multipartitions
 from akchar.operators import (
     GradedAlphabet,
     TensorState,
+    _pmul,
     apply_generator,
     char_value_oracle,
     check_ak_presentation,
@@ -58,6 +60,77 @@ class TestPackedRange:
         trace_of_word((("g", 1),) * 127, 2, alph)
         with pytest.raises(ValueError):
             trace_of_word((("g", 1),) * 128, 2, alph)
+
+
+# exponents near both edges of the packed 8-bit fields, and a few beyond them
+_EQ_EDGE = st.one_of(st.integers(-131, -124), st.integers(-2, 2), st.integers(124, 130))
+_EU_EDGE = st.one_of(st.integers(0, 2), st.integers(124, 131), st.integers(250, 257))
+
+
+@st.composite
+def edge_polys(draw, m):
+    terms = {}
+    for _ in range(draw(st.integers(0, 3))):
+        key = (draw(_EQ_EDGE),) + tuple(draw(_EU_EDGE) for _ in range(m))
+        terms[key] = draw(st.integers(-5, 5))
+    return MultiPoly(m, terms)
+
+
+def _fits(p, e=0):
+    """Whether every exponent of ``p``, with ``e`` added to each u-exponent,
+    fits the packed fields."""
+    return all(
+        -128 <= key[0] < 128 and max(key[1:]) + e < 256 for key in p.terms
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 3).flatmap(lambda m: st.tuples(edge_polys(m), edge_polys(m))))
+def test_packed_product_matches_multipoly(pair):
+    a, b = pair
+    alph = GradedAlphabet((1,) * a.m, (0,) * a.m)
+    product = a * b
+    for p in (a, b, product):
+        if not _fits(p):
+            with pytest.raises(ValueError):
+                alph.poly_to_raw(p)
+    if _fits(a) and _fits(b) and _fits(product):
+        raw = _pmul(alph.poly_to_raw(a), alph.poly_to_raw(b), alph._zero_key)
+        assert alph.poly_from_raw(raw) == product
+
+
+@st.composite
+def xi_cases(draw):
+    m = draw(st.integers(1, 3))
+    k = tuple(draw(st.integers(0, 2)) for _ in range(m))
+    l = tuple(draw(st.integers(0, 2)) for _ in range(m))
+    if not sum(k) + sum(l):
+        k = (1,) + k[1:]
+    alph = GradedAlphabet(k, l)
+    n = draw(st.integers(1, 3))
+    letters = st.integers(1, alph.size)
+    words = draw(st.lists(st.tuples(*[letters] * n), max_size=3, unique=True))
+    state = TensorState(n, {w: draw(edge_polys(m)) for w in words})
+    j = draw(st.integers(1, n))
+    e = draw(st.one_of(st.integers(1, 3), st.integers(120, 260)))
+    return alph, state, j, e
+
+
+@settings(max_examples=150, deadline=None)
+@given(xi_cases())
+def test_color_scaling_matches_multipoly(case):
+    alph, state, j, e = case
+    m = alph.m
+    try:
+        got = apply_generator(("xi", j, e), state, alph)
+    except ValueError:
+        assert not all(_fits(c, e) for c in state.terms.values())
+        return
+    expected = TensorState(state.n, {
+        w: c * MultiPoly.u_power(alph.colors[w[j - 1]], m, e)
+        for w, c in state.terms.items()
+    })
+    assert got == expected
 
 
 class TestApplyGenerator:
@@ -163,6 +236,11 @@ class TestOracle:
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
             char_value_oracle(((), ()), (1, 1), (1, 1))
+
+    def test_result_is_a_copy(self):
+        # mutating a returned value must not reach the cached one
+        char_value_oracle(((2,),), (1,), (1,)).terms.clear()
+        assert char_value_oracle(((2,),), (1,), (1,)) == mp("2 - 2*q", 1)
 
     def test_block_multiplicativity(self):
         for k, l in [((1,), (1,)), ((1, 1), (1, 1)), ((2, 0), (0, 1))]:
