@@ -16,7 +16,6 @@ from .combinat import (
     list_multipartitions,
     pair_stats,
     parse_multipartition,
-    word_group,
     word_hecke,
 )
 from .formulas import (
@@ -39,7 +38,6 @@ from .operators import (
     check_ak_presentation,
     check_shoji_presentation,
     trace_of_word,
-    vandermonde_data,
 )
 from .rings import (
     CycloElem,
@@ -84,8 +82,6 @@ __all__ = [
     "theta",
     "theta_j",
     "trace_of_word",
-    "vandermonde_data",
-    "word_group",
     "word_hecke",
     "wreath_hook_value",
 ]

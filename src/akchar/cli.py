@@ -191,6 +191,12 @@ def run_hooks(args) -> int:
 
 
 def run_verify(args) -> int:
+    if args.max_n is not None and args.max_n < 0:
+        raise ValueError("--max-n must be nonnegative")
+    if args.n is not None and args.n < 0:
+        raise ValueError("--n must be nonnegative")
+    if args.m is not None and args.m < 1:
+        raise ValueError("--m must be positive")
     names = SUITE_NAMES if args.suite == "all" else [args.suite]
     results = [
         run_suite(name, max_n=args.max_n, m_only=args.m, n_only=args.n)
@@ -227,12 +233,14 @@ def run_verify(args) -> int:
 
 def run_compare_pair(args) -> int:
     ones = (1, 1)
+    if args.max_n < 1:
+        raise ValueError("--max-n must be positive")
     if args.n is not None:
         if args.n < 1:
             raise ValueError("--n must be positive")
         sizes = [args.n]
     else:
-        sizes = list(range(1, (args.max_n or 4) + 1))
+        sizes = list(range(1, args.max_n + 1))
     cases = [mu for n in sizes for mu in list_multipartitions(2, n)]
 
     def evaluate(mu):

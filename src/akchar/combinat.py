@@ -21,7 +21,6 @@ __all__ = [
     "list_hook_multipartitions",
     "count_semistandard",
     "count_standard_multitableaux",
-    "word_group",
     "word_hecke",
     "mp_size",
     "mp_length",
@@ -285,33 +284,6 @@ def count_standard_multitableaux(mu) -> int:
     for comp in mu:
         total *= standard_tableau_count(comp)
     return total
-
-
-def _t_word(b: int) -> list[tuple[str, int]]:
-    # t_b = s_{b-1} ... s_1 s_0 s_1 ... s_{b-1}
-    down = [("s", j) for j in range(b - 1, 0, -1)]
-    up = [("s", j) for j in range(1, b)]
-    return down + [("s", 0)] + up
-
-
-def word_group(mu) -> tuple[tuple[str, int], ...]:
-    """Reflection-group word for the standard element of a multipartition.
-
-    Blocks tile 1..n left to right; a block of size a ending at position b in
-    component r contributes t_b**(r-1) (fully expanded through s_0) followed
-    by the transpositions strictly interior to the block.
-    """
-    syms: list[tuple[str, int]] = []
-    pos = 0
-    for r, comp in enumerate(mu, start=1):
-        for part in comp:
-            start, end = pos, pos + part
-            for _ in range(r - 1):
-                syms.extend(_t_word(end))
-            for j in range(end - 1, start, -1):
-                syms.append(("s", j))
-            pos = end
-    return tuple(syms)
 
 
 def word_hecke(mu) -> tuple[tuple, ...]:

@@ -1,4 +1,5 @@
 import json
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -170,6 +171,22 @@ class TestVerify:
             assert code == 2
             assert "unknown suite" in err
 
+    @pytest.mark.parametrize("flags", [
+        ("--max-n", "-1"), ("--n", "-1"), ("--m", "0"),
+    ], ids=["max-n", "n", "m"])
+    def test_out_of_range_bounds(self, capsys, flags):
+        code, out, err = run_cli(capsys, "verify", "--suite", "ak-relations", *flags)
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and flags[0] in err
+
+    def test_max_n_zero_is_valid(self, capsys):
+        # the dimension identity starts at n = 0
+        code, out, _ = run_cli(
+            capsys, "verify", "--suite", "dimension-identity", "--max-n", "0",
+        )
+        assert code == 0
+        assert "0 failures [pass]" in out and " 0 cases" not in out
+
     def test_json_report(self, capsys):
         code, out, _ = run_cli(
             capsys, "verify", "--suite", "theta-closed-forms", "--format", "json",
@@ -189,6 +206,12 @@ class TestComparePair:
         for row in doc["rows"]:
             assert "stated_series" in row and "oracle_series" in row
             assert isinstance(row["series_equal"], bool)
+
+    @pytest.mark.parametrize("max_n", ["0", "-2"])
+    def test_max_n_out_of_range(self, capsys, max_n):
+        code, out, err = run_cli(capsys, "compare-pair-regev", "--max-n", max_n)
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and "--max-n" in err
 
     def test_exit_zero_despite_mismatch(self, capsys):
         # the literal constants disagree with the oracle; the command reports
@@ -222,6 +245,33 @@ class TestDeterminism:
         first = run_cli(capsys, "chars", "--k", "2", "--l", "1", "--n", "2")
         second = run_cli(capsys, "chars", "--k", "2", "--l", "1", "--n", "2")
         assert first == second
+
+
+def _readme_examples():
+    """(argv, expected stdout) for each ``$ akchar ...`` line of README.md,
+    whose output runs to the end of its code block."""
+    lines = (Path(__file__).resolve().parent.parent / "README.md").read_text(
+        encoding="utf-8"
+    ).splitlines()
+    examples = []
+    for i, line in enumerate(lines):
+        if line.startswith("$ akchar "):
+            end = lines.index("```", i)
+            examples.append((shlex.split(line)[2:], "".join(
+                out + "\n" for out in lines[i + 1:end]
+            )))
+    return examples
+
+
+README_EXAMPLES = _readme_examples()
+
+
+@pytest.mark.parametrize("argv, expected", README_EXAMPLES,
+                         ids=[" ".join(argv) for argv, _ in README_EXAMPLES])
+def test_readme_example(capsys, argv, expected):
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert out == expected
 
 
 def test_module_entry_point():

@@ -16,7 +16,6 @@ from akchar.combinat import (
     mp_size,
     pair_stats,
     parse_multipartition,
-    word_group,
     word_hecke,
 )
 
@@ -217,21 +216,6 @@ class TestStandardCounts:
 
 
 class TestWords:
-    def test_group_identity_block(self):
-        assert word_group(((1,), ())) == ()
-
-    def test_group_t1(self):
-        assert word_group(((), (1,))) == (("s", 0),)
-
-    def test_group_single_transposition(self):
-        assert word_group(((2,),)) == (("s", 1),)
-
-    def test_group_t2_expansion(self):
-        # one block of size 2 in component 2: t_2 then the interior s_1
-        assert word_group(((), (2,))) == (
-            ("s", 1), ("s", 0), ("s", 1), ("s", 1),
-        )
-
     def test_hecke_single_braid(self):
         assert word_hecke(((2,),)) == (("g", 1),)
 

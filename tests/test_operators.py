@@ -14,7 +14,6 @@ from akchar.operators import (
     check_ak_presentation,
     check_shoji_presentation,
     trace_of_word,
-    vandermonde_data,
 )
 from akchar.rings import MultiPoly, specialize_to_group
 
@@ -133,6 +132,99 @@ def test_color_scaling_matches_multipoly(case):
     assert got == expected
 
 
+def _swap_reference(tag, a, b, alph, m):
+    """(new letter pair, coefficient) terms of ``tag`` on the adjacent letters
+    a, b, read off the signed quantum-swap definitions: T carries 1 - q on an
+    ascending pair and q on a descending one, T^-1 inverts it, and the plain
+    swap is T off its same-color blocks, with no 1 - q term."""
+    one = MultiPoly.one(m)
+    q, qinv = MultiPoly.q_power(1, m), MultiPoly.q_power(-1, m)
+    sign = -one if alph.parities[a] and alph.parities[b] else one
+    if tag == "swap" and alph.colors[a] != alph.colors[b]:
+        return [((b, a), sign if a < b else sign * q)]
+    if tag == "ginv":
+        if a == b:
+            return [((a, a), -qinv if alph.parities[a] else one)]
+        if a < b:
+            return [((b, a), sign * qinv)]
+        return [((a, b), one - qinv), ((b, a), sign)]
+    if a == b:
+        return [((a, a), -q if alph.parities[a] else one)]
+    if a < b:
+        return [((a, b), one - q), ((b, a), sign)]
+    return [((b, a), sign * q)]
+
+
+def _reference_apply(sym, terms, alph, m):
+    out = {}
+    for w, c in terms.items():
+        if sym[0] == "xi":
+            j, e = sym[1], sym[2]
+            images = [(w, c * MultiPoly.u_power(alph.colors[w[j - 1]], m, e))]
+        else:
+            i = sym[1]
+            images = [
+                (w[:i - 1] + pair + w[i + 1:], c * f)
+                for pair, f in _swap_reference(sym[0], w[i - 1], w[i], alph, m)
+            ]
+        for v, f in images:
+            out[v] = out.get(v, MultiPoly.zero(m)) + f
+    return {v: c for v, c in out.items() if c}
+
+
+# how far one symbol can move the exponents: (q down, q up, u up)
+_SYMBOL_REACH = {"g": (0, 1, 0), "swap": (0, 1, 0), "ginv": (-1, 0, 0)}
+
+
+@st.composite
+def word_cases(draw):
+    m = draw(st.integers(1, 2))
+    k = tuple(draw(st.integers(0, 2)) for _ in range(m))
+    l = tuple(draw(st.integers(0, 2)) for _ in range(m))
+    if not sum(k) + sum(l):
+        l = (1,) + l[1:]
+    alph = GradedAlphabet(k, l)
+    n = draw(st.integers(2, 3))
+    letters = st.integers(1, alph.size)
+    words = draw(st.lists(st.tuples(*[letters] * n), min_size=1, max_size=3,
+                          unique=True))
+    # q-exponents start near the bottom of the packed field, so ginv-heavy
+    # words cross -128
+    eq = st.one_of(st.integers(-128, -124), st.integers(-2, 2))
+    state = {}
+    for w in words:
+        terms = {
+            (draw(eq),) + tuple(draw(st.integers(0, 2)) for _ in range(m)):
+                draw(st.integers(-3, 3))
+            for _ in range(draw(st.integers(1, 2)))
+        }
+        state[w] = MultiPoly(m, terms)
+    braid = st.tuples(st.sampled_from(["g", "ginv", "ginv", "ginv", "swap"]),
+                      st.integers(1, n - 1))
+    xi = st.tuples(st.just("xi"), st.integers(1, n), st.integers(1, 2))
+    word = draw(st.lists(st.one_of(braid, xi), min_size=1, max_size=10))
+    return alph, TensorState(n, state), word
+
+
+@settings(max_examples=100, deadline=None)
+@given(word_cases())
+def test_words_match_multipoly_reference(case):
+    alph, state, word = case
+    expected = dict(state.terms)
+    for sym in reversed(word):  # rightmost symbol acts first
+        lo, hi, up = _SYMBOL_REACH.get(sym[0], (0, 0, sym[-1]))
+        keys = [key for c in state.terms.values() for key in c.terms]
+        if any(key[0] + lo < -128 or key[0] + hi >= 128
+               or max(key[1:]) + up >= 256 for key in keys):
+            # the symbol could move an exponent out of its packed field
+            with pytest.raises(ValueError):
+                apply_generator(sym, state, alph)
+            return
+        state = apply_generator(sym, state, alph)
+        expected = _reference_apply(sym, expected, alph, alph.m)
+        assert state == TensorState(state.n, expected), sym
+
+
 class TestApplyGenerator:
     def test_quantum_swap_mixed_parity(self):
         alph = GradedAlphabet((1,), (1,))  # letter 1 even, letter 2 odd
@@ -237,6 +329,12 @@ class TestOracle:
         with pytest.raises(ValueError):
             char_value_oracle(((), ()), (1, 1), (1, 1))
 
+    def test_rejects_wrong_component_count(self):
+        with pytest.raises(ValueError):
+            char_value_oracle(((1,), (1,)), (1,), (1,))
+        with pytest.raises(ValueError):
+            char_value_oracle(((1,),), (1, 1), (1, 1))
+
     def test_result_is_a_copy(self):
         # mutating a returned value must not reach the cached one
         char_value_oracle(((2,),), (1,), (1,)).terms.clear()
@@ -260,29 +358,6 @@ class TestOracle:
         for mu in list_multipartitions(2, 3):
             value = char_value_oracle(mu, (1, 1), (1, 1))
             specialize_to_group(value, 2)  # must not raise
-
-
-class TestVandermonde:
-    def test_m1(self):
-        delta, adj = vandermonde_data(1)
-        assert delta == 1
-        assert adj == [[MultiPoly.one(1)]]
-
-    def test_m2(self):
-        delta, adj = vandermonde_data(2)
-        assert delta == mp("-u1 + u2", 2)
-        assert adj[0] == [mp("u2", 2), mp("-1", 2)]  # F_1(x) = u2 - x
-        assert adj[1] == [mp("-u1", 2), mp("1", 2)]  # F_2(x) = x - u1
-
-    @pytest.mark.parametrize("m", [1, 2, 3])
-    def test_interpolation_property(self, m):
-        delta, adj = vandermonde_data(m)
-        for c in range(1, m + 1):
-            for d in range(1, m + 1):
-                value = MultiPoly.zero(m)
-                for i in range(m):
-                    value = value + adj[c - 1][i] * MultiPoly.u_power(d, m, i)
-                assert value == (delta if c == d else MultiPoly.zero(m)), (c, d)
 
 
 def _assert_all_pass(report, context):
@@ -312,6 +387,32 @@ class TestPresentations:
 
     def test_shoji_n3(self):
         _assert_all_pass(check_shoji_presentation(3, (1, 0), (0, 1)), "n3 m2")
+
+    def test_exchange_correction(self):
+        # letters 1, 2 are even, of colors 1, 2: each exchange relation is off
+        # by (1-q)(u1-u2) on (1,2), where the colors increase, and exact on (2,1)
+        alph = GradedAlphabet((1, 1), (0, 0))
+        zero = MultiPoly.zero(2)
+        corr = mp("1 - q", 2) * mp("u1 - u2", 2)
+
+        def run(word, w):
+            state = unit(w, 2)
+            for sym in reversed(word):  # rightmost symbol acts first
+                state = apply_generator(sym, state, alph)
+            return state
+
+        def minus(a, b):
+            return TensorState(2, {
+                v: a.terms.get(v, zero) - b.terms.get(v, zero)
+                for v in set(a.terms) | set(b.terms)
+            })
+
+        g1, xi1, xi2 = ("g", 1), ("xi", 1, 1), ("xi", 2, 1)
+        for w, expected in (((1, 2), corr), ((2, 1), zero)):
+            raise_diff = minus(run((g1, xi1), w), run((xi2, g1), w))
+            lower_diff = minus(run((g1, xi2), w), run((xi1, g1), w))
+            assert raise_diff == TensorState(2, {w: expected}), w
+            assert lower_diff == TensorState(2, {w: -expected}), w
 
     def test_report_shape(self):
         report = check_ak_presentation(1, (1, 1), (0, 0))
