@@ -202,6 +202,12 @@ def run_verify(args) -> int:
         run_suite(name, max_n=args.max_n, m_only=args.m, n_only=args.n)
         for name in names
     ]
+    if not any(result.cases for result in results):
+        bounds = [f"{flag} {value}" for flag, value in
+                  (("--max-n", args.max_n), ("--m", args.m), ("--n", args.n))
+                  if value is not None]
+        raise ValueError(f"--suite {args.suite} runs no case with "
+                         f"{' '.join(bounds) or 'its default bounds'}")
     all_ok = all(result.ok for result in results)
     if args.format == "json":
         doc = {
@@ -218,7 +224,8 @@ def run_verify(args) -> int:
     else:
         lines = []
         for result in results:
-            status = "pass" if result.ok else "FAIL"
+            status = ("FAIL" if not result.ok else "pass" if result.cases
+                      else "empty")
             lines.append(
                 f"suite {result.name}: {result.cases} cases, "
                 f"{len(result.failures)} failures [{status}]"

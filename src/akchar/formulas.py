@@ -160,11 +160,11 @@ def character_value(mu, spec: CharSpec) -> MultiPoly:
     """Closed-form character value of the standard element of ``mu``:
     the product of per-part block traces."""
     mu = _check_mu(mu, spec.m, spec.n)
-    result = MultiPoly.one(spec.m)
-    for r, comp in enumerate(mu, start=1):
-        for part in comp:
-            result = result * _theta(r, part, spec.m, spec.k, spec.l)
-    return result
+    return MultiPoly.product(spec.m, [
+        _theta(r, part, spec.m, spec.k, spec.l)
+        for r, comp in enumerate(mu, start=1)
+        for part in comp
+    ])
 
 
 def group_character_value(mu, spec: CharSpec) -> CycloElem:

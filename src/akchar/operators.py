@@ -75,9 +75,9 @@ class GradedAlphabet:
     # -- packed-exponent helpers --------------------------------------
 
     def _encode(self, eq: int, eu) -> int:
-        # fields are 8 bits wide; desk-scale exponents stay far below that
-        if not -_EQ_OFFSET <= eq < _EQ_OFFSET:
-            raise ValueError(f"q-exponent {eq} too large for the packed engine")
+        # the u-fields are 8 bits wide; q sits in the top field of an
+        # unbounded integer, where it can grow or go negative without
+        # reaching a u-field
         key = (eq + _EQ_OFFSET) << self._shift
         for i, e in enumerate(eu):
             if e >= 1 << _FIELD_BITS:
@@ -227,13 +227,6 @@ def _state_sub(a: dict, b: dict, zk: int) -> dict:
 
 # -- word compilation and application ---------------------------------------
 
-# How far one step can move the exponents, as (q down, q up, u up): every
-# entry of the T and swap tables carries q**0 or q**1, every entry of the
-# T^-1 table q**0 or q**-1, and a color scaling of power e raises one
-# u-exponent by e.
-_PAIR_REACH = {"g": (0, 1, 0), "swap": (0, 1, 0), "ginv": (-1, 0, 0)}
-
-
 def _g0_expansion(n: int) -> list[tuple]:
     # product order: Tinv_1 .. Tinv_{n-1}  S_{n-1} .. S_1  omega_1
     word: list[tuple] = [("ginv", i) for i in range(1, n)]
@@ -256,14 +249,14 @@ def _compile_word(word, n: int, alph: GradedAlphabet, *, hecke_only: bool = Fals
             if not 1 <= i <= n - 1:
                 raise ValueError(f"braid index {i} out of range for n={n}")
             table = t_tab if tag == "g" else tinv_tab if tag == "ginv" else s_tab
-            steps.append(("pair", i - 1, table, _PAIR_REACH[tag]))
+            steps.append(("pair", i - 1, table, 0))
         elif tag == "xi":
             j, e = sym[1], sym[2]
             if not 1 <= j <= n:
                 raise ValueError(f"position {j} out of range for n={n}")
             if e < 1:
                 raise ValueError("color-scaling exponents must be positive")
-            steps.append(("diag", j - 1, alph._omega_factors(e), (0, 0, e)))
+            steps.append(("diag", j - 1, alph._omega_factors(e), e))
         elif tag == "g0":
             if hecke_only:
                 raise ValueError("the cyclotomic generator is not part of a Hecke word")
@@ -282,19 +275,13 @@ def _compile_word(word, n: int, alph: GradedAlphabet, *, hecke_only: bool = Fals
     return steps
 
 
-def _check_reach(steps, eq_lo: int, eq_hi: int, eu_max: int) -> None:
+def _check_reach(steps, eu_max: int) -> None:
     """Raise ValueError when applying ``steps`` to coefficients with
-    q-exponents in ``eq_lo..eq_hi`` and u-exponents up to ``eu_max`` could
-    move an exponent out of its packed field, where it would wrap into the
-    neighbouring one.  The bound adds up the reach of every step."""
-    lo = eq_lo + sum(step[3][0] for step in steps)
-    hi = eq_hi + sum(step[3][1] for step in steps)
-    top = eu_max + sum(step[3][2] for step in steps)
-    if lo < -_EQ_OFFSET or hi >= _EQ_OFFSET:
-        raise ValueError(
-            f"q-exponents may reach {lo}..{hi}, beyond the packed engine's "
-            f"{-_EQ_OFFSET}..{_EQ_OFFSET - 1}"
-        )
+    u-exponents up to ``eu_max`` could move a u-exponent out of its packed
+    field, where it would wrap into the neighbouring one.  Each step carries
+    how far it raises one u-exponent: a color scaling of power e by e, a
+    swap by 0."""
+    top = eu_max + sum(step[3] for step in steps)
     if top >= 1 << _FIELD_BITS:
         raise ValueError(
             f"u-exponents may reach {top}, beyond the packed engine's "
@@ -377,9 +364,7 @@ def apply_generator(sym, state: TensorState, alphabet: GradedAlphabet) -> Tensor
     steps = _compile_word((sym,), state.n, alphabet)
     keys = [key for c in state.terms.values() for key in c.terms]
     if keys:
-        _check_reach(steps, min(key[0] for key in keys),
-                     max(key[0] for key in keys),
-                     max(max(key[1:], default=0) for key in keys))
+        _check_reach(steps, max(max(key[1:], default=0) for key in keys))
     zk = alphabet._zero_key
     raw = {w: alphabet.poly_to_raw(c) for w, c in state.terms.items()}
     raw = _apply_steps(raw, steps, zk)
@@ -392,7 +377,7 @@ def trace_of_word(word, n: int, alphabet: GradedAlphabet) -> MultiPoly:
     """Exact trace of a Hecke generator word over all basis words of the
     n-th tensor power."""
     steps = _compile_word(word, n, alphabet, hecke_only=True)
-    _check_reach(steps, 0, 0, 0)
+    _check_reach(steps, 0)
     zk = alphabet._zero_key
     total: dict[int, int] = {}
     for basis in itertools.product(range(1, alphabet.size + 1), repeat=n):

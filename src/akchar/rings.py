@@ -83,7 +83,7 @@ class MultiPoly(_Ring):
     sorted-key serialization is canonical.
     """
 
-    __slots__ = ("m", "terms")
+    __slots__ = ("m", "terms", "_parts")
 
     def __init__(self, m: int, terms=None):
         if m < 0:
@@ -216,6 +216,102 @@ class MultiPoly(_Ring):
         return MultiPoly._raw(self.m, out)
 
     __rmul__ = __mul__
+
+    @classmethod
+    def product(cls, m: int, factors) -> "MultiPoly":
+        """The exact product of ``factors``, polynomials over ``m``
+        u-variables; the empty product is 1.
+
+        Equal to chaining ``*``, but with no term-by-term products.  Each
+        factor's terms are grouped by u-monomial, and each group's
+        q-polynomial, shifted by the factor's lowest q-exponent, becomes one
+        integer: its value at q = 2**W.  Each u-monomial becomes one integer
+        key with fields wide enough for the total u-degree, so adding keys
+        adds exponents.  The groups multiply as integers, and each sum is
+        unpacked once into signed W-bit fields.  No coefficient of the
+        product exceeds N, the product of the factors' l1-norms, in absolute
+        value, so W = N.bit_length() + 1 bits (a sign bit included) hold
+        every coefficient and no field wraps into the next.
+        """
+        factors = list(factors)
+        for f in factors:
+            if f.m != m:
+                raise ValueError(f"u-variable count mismatch: {f.m} != {m}")
+        if len(factors) < 2:
+            return cls._raw(m, dict(factors[0].terms)) if factors else cls.one(m)
+        if not all(f.terms for f in factors):
+            return cls.zero(m)
+        parts = [f._split() for f in factors]
+        norm = 1
+        degree = low = 0
+        for f_norm, f_low, f_degree, _ in parts:
+            norm *= f_norm
+            low += f_low
+            degree += f_degree
+        width = norm.bit_length() + 1
+        u_bits = max(degree.bit_length(), 1)
+        acc = None
+        for _, _, _, groups in parts:
+            packed = {}
+            for u, qs in groups:
+                key = 0
+                for e in reversed(u):
+                    key = (key << u_bits) + e
+                value = 0
+                for c in reversed(qs):
+                    value = (value << width) + c
+                packed[key] = value
+            if acc is None:
+                acc = packed
+                continue
+            out: dict[int, int] = {}
+            for ka, va in acc.items():
+                for kb, vb in packed.items():
+                    key = ka + kb
+                    out[key] = out.get(key, 0) + va * vb
+            acc = out
+        half = 1 << (width - 1)
+        full = 1 << width
+        u_mask = (1 << u_bits) - 1
+        shifts = range(0, u_bits * m, u_bits)
+        terms: dict[tuple[int, ...], int] = {}
+        for key, value in acc.items():
+            u = tuple([(key >> s) & u_mask for s in shifts])
+            e = low
+            while value:
+                c = value & (full - 1)
+                if c >= half:
+                    c -= full
+                if c:
+                    terms[(e,) + u] = c
+                value = (value - c) >> width
+                e += 1
+        return cls._raw(m, terms)
+
+    def _split(self) -> tuple:
+        """``(l1-norm, lowest q-exponent, total u-degree, groups)`` of a
+        nonzero polynomial, where ``groups`` pairs each u-exponent tuple
+        with its q-coefficients from the lowest q-exponent up, zeros
+        included.  Computed once per value, which never changes."""
+        try:
+            return self._parts
+        except AttributeError:
+            pass
+        low = min(key[0] for key in self.terms)
+        span = max(key[0] for key in self.terms) - low + 1
+        groups: dict[tuple[int, ...], list] = {}
+        for key, c in self.terms.items():
+            row = groups.get(key[1:])
+            if row is None:
+                row = groups[key[1:]] = [0] * span
+            row[key[0] - low] = c
+        self._parts = (
+            sum(abs(c) for c in self.terms.values()),
+            low,
+            max(sum(u) for u in groups),
+            tuple((u, tuple(row)) for u, row in groups.items()),
+        )
+        return self._parts
 
     # -- variable manipulation -------------------------------------------
 

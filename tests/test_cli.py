@@ -1,3 +1,5 @@
+import hashlib
+import importlib.util
 import json
 import shlex
 import subprocess
@@ -187,6 +189,25 @@ class TestVerify:
         assert code == 0
         assert "0 failures [pass]" in out and " 0 cases" not in out
 
+    def test_empty_suite_is_not_a_pass(self, capsys):
+        # --m 5 is outside every grid but those of theta-closed-forms and coef
+        code, out, _ = run_cli(capsys, "verify", "--m", "5")
+        assert code == 0
+        lines = out.splitlines()
+        assert "suite oracle: 0 cases, 0 failures [empty]" in lines
+        assert "suite coef: 32 cases, 0 failures [pass]" in lines
+        assert not any(" 0 cases" in line and "[pass]" in line for line in lines)
+
+    @pytest.mark.parametrize("argv", [
+        ("--suite", "oracle", "--n", "9"),
+        ("--suite", "wreath", "--m", "4"),
+        ("--max-n", "0", "--m", "5"),
+    ], ids=["suite-n", "suite-m", "all"])
+    def test_no_case_selected(self, capsys, argv):
+        code, out, err = run_cli(capsys, "verify", *argv)
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and "no case" in err
+
     def test_json_report(self, capsys):
         code, out, _ = run_cli(
             capsys, "verify", "--suite", "theta-closed-forms", "--format", "json",
@@ -298,3 +319,26 @@ def test_cli_imports_no_executor():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+def _bench_run_module():
+    """``bench/run.py``, loaded from its file: the benchmark's pinned table
+    hashes are the reference here."""
+    path = Path(__file__).resolve().parent.parent / "bench" / "run.py"
+    spec = importlib.util.spec_from_file_location("bench_run", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+BENCH_RUN = _bench_run_module()
+
+
+@pytest.mark.parametrize("order", sorted(BENCH_RUN.TABLE_SHA256))
+def test_table_bytes_match_benchmark_pins(capsys, order):
+    k, l = order.split("|")
+    code, out, _ = run_cli(capsys, "chars", "--k", k, "--l", l,
+                           "--n", str(BENCH_RUN.TABLE_N), "--format", "csv")
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == \
+        BENCH_RUN.TABLE_SHA256[order]

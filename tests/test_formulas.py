@@ -72,9 +72,12 @@ class TestTheta:
             theta(1, 0, spec)
 
     def test_result_is_a_copy(self):
-        # mutating a returned block trace must not reach the cached one
+        # mutating a returned block trace, or a one-block character value,
+        # must not reach the cached block trace
         spec = CharSpec(1, (1,), (1,))
         theta(1, 2, spec).terms.clear()
+        assert theta(1, 2, spec) == mp("2 - 2*q", 1)
+        character_value(((2,),), spec).terms.clear()
         assert theta(1, 2, spec) == mp("2 - 2*q", 1)
         assert character_value(((2,),), spec) == mp("2 - 2*q", 1)
 

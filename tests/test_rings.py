@@ -1,4 +1,6 @@
+import functools
 import math
+import operator
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -220,3 +222,73 @@ def test_expand_is_ring_map(pair, order):
     p, r = pair
     assert expand_at_q1(p * r, order) == expand_at_q1(p, order) * expand_at_q1(r, order)
     assert expand_at_q1(p + r, order) == expand_at_q1(p, order) + expand_at_q1(r, order)
+
+
+@st.composite
+def product_factors(draw, m):
+    """A factor for ``MultiPoly.product``: zero, a monomial with a large
+    coefficient, or a sum of terms with negative q-exponents and
+    coefficients up to about 2**40."""
+    kind = draw(st.sampled_from(["zero", "monomial", "sum", "sum"]))
+    if kind == "zero":
+        return MultiPoly.zero(m)
+    coeffs = st.one_of(st.integers(-9, 9), st.integers(-(2 ** 40), 2 ** 40))
+    terms = {}
+    for _ in range(1 if kind == "monomial" else draw(st.integers(1, 5))):
+        key = (draw(st.integers(-6, 6)),) + tuple(
+            draw(st.integers(0, 3)) for _ in range(m)
+        )
+        terms[key] = draw(coeffs)
+    return MultiPoly(m, terms)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 3).flatmap(
+    lambda m: st.tuples(st.just(m), st.lists(product_factors(m), max_size=5))))
+def test_product_matches_chained_multiplication(case):
+    m, factors = case
+    expected = functools.reduce(operator.mul, factors, MultiPoly.one(m))
+    assert MultiPoly.product(m, factors) == expected
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 3).flatmap(lambda m: st.tuples(
+    st.just(m),
+    st.lists(st.tuples(st.integers(-6, 6), st.integers(1, 2 ** 40),
+                       st.lists(st.integers(0, 3), min_size=m, max_size=m)),
+             min_size=2, max_size=5))))
+def test_product_at_the_coefficient_bound(case):
+    # a product of monomials has one coefficient, and its absolute value
+    # is the product of the factors' l1-norms: the widest field there is
+    m, monomials = case
+    factors = [MultiPoly(m, {(eq, *eu): (-1) ** i * c})
+               for i, (eq, c, eu) in enumerate(monomials)]
+    expected = functools.reduce(operator.mul, factors, MultiPoly.one(m))
+    assert abs(next(iter(expected.terms.values()))) == math.prod(
+        c for _, c, _ in monomials)
+    assert MultiPoly.product(m, factors) == expected
+
+
+class TestProduct:
+    def test_empty_product_is_one(self):
+        assert MultiPoly.product(2, []) == MultiPoly.one(2)
+
+    def test_zero_factor(self):
+        p = MultiPoly.from_text("1 - q^-2*u1", 1)
+        assert MultiPoly.product(1, [p, MultiPoly.zero(1), p]).is_zero()
+
+    def test_one_factor_is_a_copy(self):
+        p = MultiPoly.from_text("2 - 2*q", 1)
+        got = MultiPoly.product(1, [p])
+        got.terms.clear()
+        assert p == MultiPoly.from_text("2 - 2*q", 1)
+
+    def test_cancellation(self):
+        # (1 - q)(1 + q) = 1 - q^2: the middle coefficient cancels to zero
+        a = MultiPoly.from_text("1 - q", 0)
+        b = MultiPoly.from_text("1 + q", 0)
+        assert MultiPoly.product(0, [a, b]).terms == {(0,): 1, (2,): -1}
+
+    def test_variable_count_mismatch(self):
+        with pytest.raises(ValueError):
+            MultiPoly.product(1, [MultiPoly.one(1), MultiPoly.one(2)])
