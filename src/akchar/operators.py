@@ -6,6 +6,11 @@ accumulation of output coefficients; each quantum-swap symbol branches a
 basis word into at most two words.  Coefficients travel through the hot loop
 as plain dicts keyed by packed integer exponents and are converted to
 ``MultiPoly`` at the boundary.
+
+The key of ``q^e u_1^a_1 ... u_m^a_m`` is ``(e << 8m) + sum a_i << 8(i-1)``:
+each u-exponent has an 8-bit field and q the signed top field, so the unit
+key is 0, a product of monomials is the sum of their keys, and a negative
+q-exponent makes the key negative without reaching a u-field.
 """
 from __future__ import annotations
 
@@ -26,7 +31,6 @@ __all__ = [
 ]
 
 _FIELD_BITS = 8
-_EQ_OFFSET = 128
 
 
 class GradedAlphabet:
@@ -39,7 +43,7 @@ class GradedAlphabet:
 
     __slots__ = (
         "k", "l", "m", "size", "colors", "parities", "offsets",
-        "_shift", "_zero_key", "_tables", "_omega_cache",
+        "_shift", "_tables", "_omega_cache",
     )
 
     def __init__(self, k, l):
@@ -68,29 +72,23 @@ class GradedAlphabet:
         self.parities = tuple(parities)
         self.offsets = tuple(offsets)
         self._shift = _FIELD_BITS * self.m
-        self._zero_key = _EQ_OFFSET << self._shift
         self._tables = None
         self._omega_cache: dict[int, tuple] = {}
 
     # -- packed-exponent helpers --------------------------------------
 
     def _encode(self, eq: int, eu) -> int:
-        # the u-fields are 8 bits wide; q sits in the top field of an
-        # unbounded integer, where it can grow or go negative without
-        # reaching a u-field
-        key = (eq + _EQ_OFFSET) << self._shift
+        key = eq << self._shift
         for i, e in enumerate(eu):
             if e >= 1 << _FIELD_BITS:
                 raise ValueError(f"u-exponent {e} too large for the packed engine")
-            key |= e << (_FIELD_BITS * i)
+            key += e << (_FIELD_BITS * i)
         return key
 
     def _decode(self, key: int) -> tuple[int, ...]:
-        eu = tuple(
-            (key >> (_FIELD_BITS * i)) & 0xFF for i in range(self.m)
-        )
-        eq = (key >> self._shift) - _EQ_OFFSET
-        return (eq,) + eu
+        mask = (1 << _FIELD_BITS) - 1
+        eu = tuple((key >> (_FIELD_BITS * i)) & mask for i in range(self.m))
+        return (key >> self._shift,) + eu
 
     def poly_to_raw(self, p: MultiPoly) -> dict[int, int]:
         if p.m != self.m:
@@ -101,7 +99,7 @@ class GradedAlphabet:
         return MultiPoly._raw(self.m, {self._decode(k): c for k, c in raw.items()})
 
     def u_raw(self, color: int, e: int = 1) -> dict[int, int]:
-        return {self._zero_key + (e << (_FIELD_BITS * (color - 1))): 1}
+        return {e << (_FIELD_BITS * (color - 1)): 1}
 
     def _omega_factors(self, e: int):
         # per-letter diagonal factors for a color scaling of power e
@@ -117,17 +115,16 @@ class GradedAlphabet:
     def _ensure_tables(self):
         if self._tables is not None:
             return self._tables
-        zk = self._zero_key
-        qk = (_EQ_OFFSET + 1) << self._shift
-        qik = (_EQ_OFFSET - 1) << self._shift
-        p_one = {zk: 1}
-        p_neg_one = {zk: -1}
-        p_one_minus_q = {zk: 1, qk: -1}
+        qk = self._encode(1, ())
+        qik = self._encode(-1, ())
+        p_one = {0: 1}
+        p_neg_one = {0: -1}
+        p_one_minus_q = {0: 1, qk: -1}
         p_q = {qk: 1}
         p_neg_q = {qk: -1}
         p_qinv = {qik: 1}
         p_neg_qinv = {qik: -1}
-        p_one_minus_qinv = {zk: 1, qik: -1}
+        p_one_minus_qinv = {0: 1, qik: -1}
         K = self.size
         t_tab = [None] * (K + 1)
         tinv_tab = [None] * (K + 1)
@@ -179,14 +176,13 @@ class GradedAlphabet:
 
 # -- raw coefficient helpers ------------------------------------------------
 
-def _pmul(a: dict, b: dict, zk: int) -> dict:
+def _pmul(a: dict, b: dict) -> dict:
     if len(a) < len(b):
         a, b = b, a
     out: dict[int, int] = {}
     for kb, vb in b.items():
-        kb0 = kb - zk
         for ka, va in a.items():
-            key = ka + kb0
+            key = ka + kb
             new = out.get(key, 0) + va * vb
             if new:
                 out[key] = new
@@ -204,8 +200,8 @@ def _padd_into(acc: dict, p: dict) -> None:
             del acc[key]
 
 
-def _state_scale(state: dict, factor: dict, zk: int) -> dict:
-    return {w: _pmul(c, factor, zk) for w, c in state.items()}
+def _state_scale(state: dict, factor: dict) -> dict:
+    return {w: _pmul(c, factor) for w, c in state.items()}
 
 
 def _state_add(a: dict, b: dict) -> dict:
@@ -221,8 +217,8 @@ def _state_add(a: dict, b: dict) -> dict:
     return out
 
 
-def _state_sub(a: dict, b: dict, zk: int) -> dict:
-    return _state_add(a, _state_scale(b, {zk: -1}, zk))
+def _state_sub(a: dict, b: dict) -> dict:
+    return _state_add(a, _state_scale(b, {0: -1}))
 
 
 # -- word compilation and application ---------------------------------------
@@ -235,7 +231,7 @@ def _g0_expansion(n: int) -> list[tuple]:
     return word
 
 
-def _compile_word(word, n: int, alph: GradedAlphabet, *, hecke_only: bool = False):
+def _compile_word(word, n: int, alph: GradedAlphabet):
     """Translate a generator word into application-order steps."""
     t_tab, tinv_tab, s_tab = alph._ensure_tables()
     steps: list[tuple] = []
@@ -243,8 +239,6 @@ def _compile_word(word, n: int, alph: GradedAlphabet, *, hecke_only: bool = Fals
     def emit(sym):
         tag = sym[0]
         if tag == "g" or tag == "ginv" or tag == "swap":
-            if hecke_only and tag != "g":
-                raise ValueError(f"symbol {sym!r} is not valid in a Hecke trace")
             i = sym[1]
             if not 1 <= i <= n - 1:
                 raise ValueError(f"braid index {i} out of range for n={n}")
@@ -258,8 +252,6 @@ def _compile_word(word, n: int, alph: GradedAlphabet, *, hecke_only: bool = Fals
                 raise ValueError("color-scaling exponents must be positive")
             steps.append(("diag", j - 1, alph._omega_factors(e), e))
         elif tag == "g0":
-            if hecke_only:
-                raise ValueError("the cyclotomic generator is not part of a Hecke word")
             for part in _g0_expansion(n):
                 emit(part)
         elif tag == "s":
@@ -289,7 +281,7 @@ def _check_reach(steps, eu_max: int) -> None:
         )
 
 
-def _apply_steps(state: dict, steps, zk: int) -> dict:
+def _apply_steps(state: dict, steps) -> dict:
     for step in steps:
         if not state:
             break
@@ -299,7 +291,7 @@ def _apply_steps(state: dict, steps, zk: int) -> dict:
             factors = step[2]
             new = {}
             for w, c in state.items():
-                new[w] = _pmul(c, factors[w[pos]], zk)
+                new[w] = _pmul(c, factors[w[pos]])
             state = new
         else:
             table = step[2]
@@ -307,7 +299,7 @@ def _apply_steps(state: dict, steps, zk: int) -> dict:
             for w, c in state.items():
                 for (x, y), f in table[w[pos]][w[pos + 1]]:
                     w2 = w[:pos] + (x, y) + w[pos + 2:]
-                    prod = _pmul(c, f, zk)
+                    prod = _pmul(c, f)
                     acc = new.get(w2)
                     if acc is None:
                         new[w2] = prod
@@ -365,23 +357,21 @@ def apply_generator(sym, state: TensorState, alphabet: GradedAlphabet) -> Tensor
     keys = [key for c in state.terms.values() for key in c.terms]
     if keys:
         _check_reach(steps, max(max(key[1:], default=0) for key in keys))
-    zk = alphabet._zero_key
     raw = {w: alphabet.poly_to_raw(c) for w, c in state.terms.items()}
-    raw = _apply_steps(raw, steps, zk)
+    raw = _apply_steps(raw, steps)
     return TensorState(
         state.n, {w: alphabet.poly_from_raw(c) for w, c in raw.items()}
     )
 
 
 def trace_of_word(word, n: int, alphabet: GradedAlphabet) -> MultiPoly:
-    """Exact trace of a Hecke generator word over all basis words of the
-    n-th tensor power."""
-    steps = _compile_word(word, n, alphabet, hecke_only=True)
+    """Exact trace of any operator word over all basis words of the n-th
+    tensor power; its symbols are those of ``apply_generator``."""
+    steps = _compile_word(word, n, alphabet)
     _check_reach(steps, 0)
-    zk = alphabet._zero_key
     total: dict[int, int] = {}
     for basis in itertools.product(range(1, alphabet.size + 1), repeat=n):
-        state = _apply_steps({basis: {zk: 1}}, steps, zk)
+        state = _apply_steps({basis: {0: 1}}, steps)
         diag = state.get(basis)
         if diag:
             _padd_into(total, diag)
@@ -422,46 +412,35 @@ def _relation(report, name, alph, n, lhs, rhs):
 
 def _runner(word, n, alph):
     steps = _compile_word(word, n, alph)
-    zk = alph._zero_key
 
     def run(basis):
-        return _apply_steps({basis: {zk: 1}}, steps, zk)
+        return _apply_steps({basis: {0: 1}}, steps)
 
     return run
 
 
-def _cyclotomic_lhs(alph, steps):
-    """Basis word -> (X - u_1)...(X - u_m) applied to it, where X acts by
-    ``steps``; zero on every word when X satisfies the cyclotomic relation."""
-    zk = alph._zero_key
+def _annihilator(steps, roots):
+    """Basis word -> the product of (X - r) over the raw ``roots`` applied to
+    it, where X acts by ``steps``; zero on every word when that polynomial
+    annihilates X."""
 
     def lhs(basis):
-        state = {basis: {zk: 1}}
-        for c in range(1, alph.m + 1):
-            applied = _apply_steps(state, steps, zk)
-            state = _state_sub(applied, _state_scale(state, alph.u_raw(c), zk), zk)
+        state = {basis: {0: 1}}
+        for r in roots:
+            state = _state_sub(_apply_steps(state, steps), _state_scale(state, r))
         return state
 
     return lhs
 
 
 def _hecke_relations(report, alph, n):
-    """The quadratic, far-commutation and braid relations of g_1..g_{n-1}."""
-    zk = alph._zero_key
-    one_minus_q = {zk: 1, (_EQ_OFFSET + 1) << alph._shift: -1}
-    q_raw = {(_EQ_OFFSET + 1) << alph._shift: 1}
+    """The quadratic, far-commutation and braid relations of g_1..g_{n-1};
+    the quadratic one as (T - 1)(T + q) = 0, that is T^2 = (1-q)T + q."""
+    roots = ({0: 1}, {alph._encode(1, ()): -1})
     for i in range(1, n):
-        run_one = _runner((("g", i),), n, alph)
-        run_two = _runner((("g", i), ("g", i)), n, alph)
-
-        def rhs(basis, run_one=run_one):
-            unit = {basis: {zk: 1}}
-            return _state_add(
-                _state_scale(run_one(basis), one_minus_q, zk),
-                _state_scale(unit, q_raw, zk),
-            )
-
-        _relation(report, f"quadratic-g{i}", alph, n, run_two, rhs)
+        steps = _compile_word((("g", i),), n, alph)
+        _relation(report, f"quadratic-g{i}", alph, n,
+                  _annihilator(steps, roots), lambda basis: {})
 
     for i in range(1, n):
         for j in range(i + 2, n):
@@ -482,8 +461,9 @@ def check_ak_presentation(n: int, k, l) -> list[dict]:
         raise ValueError("need n >= 1")
     alph = GradedAlphabet(k, l)
     report: list[dict] = []
+    roots = [alph.u_raw(c) for c in range(1, alph.m + 1)]
     g0_steps = _compile_word((("g0",),), n, alph)
-    _relation(report, "cyclotomic-g0", alph, n, _cyclotomic_lhs(alph, g0_steps),
+    _relation(report, "cyclotomic-g0", alph, n, _annihilator(g0_steps, roots),
               lambda basis: {})
 
     if n >= 2:
@@ -518,6 +498,7 @@ def check_shoji_presentation(n: int, k, l) -> list[dict]:
     m = alph.m
     report: list[dict] = []
     _hecke_relations(report, alph, n)
+    roots = [alph.u_raw(c) for c in range(1, m + 1)]
 
     for i in range(1, n + 1):
         for j in range(i + 1, n + 1):
@@ -528,7 +509,7 @@ def check_shoji_presentation(n: int, k, l) -> list[dict]:
     for i in range(1, n + 1):
         xi_steps = _compile_word((("xi", i, 1),), n, alph)
         _relation(report, f"cyclotomic-xi{i}", alph, n,
-                  _cyclotomic_lhs(alph, xi_steps), lambda basis: {})
+                  _annihilator(xi_steps, roots), lambda basis: {})
 
     for j in range(1, n):
         for i in range(1, n + 1):
@@ -564,7 +545,7 @@ def check_shoji_presentation(n: int, k, l) -> list[dict]:
         _relation(report, f"exchange-raise-g{j}", alph, n, run_g_xi_j, rhs_a)
 
         def rhs_b(basis, run=run_xi_j_g):
-            return _state_sub(run(basis), corr_state(basis), alph._zero_key)
+            return _state_sub(run(basis), corr_state(basis))
 
         _relation(report, f"exchange-lower-g{j}", alph, n, run_g_xi_j1, rhs_b)
 

@@ -28,8 +28,8 @@ def unit(word, m):
 
 class TestPackedRange:
     """u-exponents that would leave the packed 8-bit fields raise instead of
-    wrapping into a neighbouring field; q-exponents, in the top field, are
-    exact at any size."""
+    wrapping into a neighbouring field; q-exponents, in the signed top field,
+    are exact at any size, and a negative one makes the key negative."""
 
     def test_xi_power_256(self):
         alph = GradedAlphabet((1,), (1,))
@@ -70,8 +70,9 @@ class TestPackedRange:
                 assert trace_of_word((("g", 1),) * e, 2, alph) == expected, e
 
 
-# exponents near both edges of the packed 8-bit fields, and a few beyond
-# them: u beyond an edge must raise, q beyond one must stay exact
+# u-exponents near both edges of the packed 8-bit fields, and a few beyond
+# them, which must raise; q-exponents of either sign, large or small, which
+# must stay exact
 _EQ_EDGE = st.one_of(st.integers(-131, -124), st.integers(-2, 2), st.integers(124, 130))
 _EU_EDGE = st.one_of(st.integers(0, 2), st.integers(124, 131), st.integers(250, 257))
 
@@ -102,7 +103,7 @@ def test_packed_product_matches_multipoly(pair):
             with pytest.raises(ValueError):
                 alph.poly_to_raw(p)
     if _fits(a) and _fits(b) and _fits(product):
-        raw = _pmul(alph.poly_to_raw(a), alph.poly_to_raw(b), alph._zero_key)
+        raw = _pmul(alph.poly_to_raw(a), alph.poly_to_raw(b))
         assert alph.poly_from_raw(raw) == product
 
 
@@ -192,8 +193,8 @@ def word_cases(draw):
     letters = st.integers(1, alph.size)
     words = draw(st.lists(st.tuples(*[letters] * n), min_size=1, max_size=3,
                           unique=True))
-    # q-exponents start near -128, the bottom of a signed 8-bit field, so
-    # ginv-heavy words take the top field past it
+    # q-exponents start near zero or far below it, where a negative one makes
+    # the key negative, and ginv-heavy words take them further down
     eq = st.one_of(st.integers(-128, -124), st.integers(-2, 2))
     state = {}
     for w in words:
@@ -302,6 +303,28 @@ class TestTrace:
         with pytest.raises(ValueError):
             trace_of_word((("s", 1),), 2, alph)
 
+    def test_mixed_words_match_apply_generator(self):
+        # words with ginv, swap and g0 trace exactly: the trace is the sum of
+        # the diagonal entries of apply_generator over the unit basis words
+        rng = random.Random(20261018)
+        for k, l in [((1,), (1,)), ((1, 0), (0, 1)), ((1, 1), (1, 0)),
+                     ((0, 1, 1), (1, 0, 0))]:
+            alph = GradedAlphabet(k, l)
+            m = alph.m
+            for n in (1, 2, 3):
+                symbols = [("g0",)]
+                symbols += [(t, i) for t in ("g", "ginv", "swap") for i in range(1, n)]
+                symbols += [("xi", j, e) for j in range(1, n + 1) for e in (1, 2)]
+                for _ in range(15):
+                    word = tuple(rng.choice(symbols) for _ in range(rng.randint(0, 5)))
+                    expected = MultiPoly.zero(m)
+                    for w in itertools.product(range(1, alph.size + 1), repeat=n):
+                        state = unit(w, m)
+                        for sym in reversed(word):  # rightmost symbol acts first
+                            state = apply_generator(sym, state, alph)
+                        expected = expected + state.terms.get(w, MultiPoly.zero(m))
+                    assert trace_of_word(word, n, alph) == expected, (k, l, word)
+
     def test_cyclicity(self):
         rng = random.Random(20240819)
         alph = GradedAlphabet((1,), (1,))
@@ -363,6 +386,20 @@ def _assert_all_pass(report, context):
     assert not bad, (context, bad)
 
 
+def _entry(report, relation):
+    return next(entry for entry in report if entry["relation"] == relation)
+
+
+def _break(monkeypatch, method, mutate):
+    """Patch a GradedAlphabet method so that ``mutate(alphabet, result,
+    *args)`` edits what it returns."""
+    original = getattr(GradedAlphabet, method)
+    monkeypatch.setattr(
+        GradedAlphabet, method,
+        lambda self, *args: mutate(self, original(self, *args), *args),
+    )
+
+
 class TestPresentations:
     def test_ak_two_colors(self):
         _assert_all_pass(check_ak_presentation(2, (1, 0), (0, 1)), "n2 m2")
@@ -411,6 +448,36 @@ class TestPresentations:
             lower_diff = minus(run((g1, xi2), w), run((xi1, g1), w))
             assert raise_diff == TensorState(2, {w: expected}), w
             assert lower_diff == TensorState(2, {w: -expected}), w
+
+    def test_broken_quadratic_names_first_witness(self, monkeypatch):
+        # letters 2 and 3 are odd, so T acts on (2, 2) and (3, 3) by -q; +q
+        # there breaks the quadratic relation, first on (2, 2)
+        def flip_odd_diagonal(alph, tables):
+            for a in (2, 3):
+                tables[0][a][a] = (((a, a), alph.poly_to_raw(mp("q", 1))),)
+            return tables
+
+        _break(monkeypatch, "_ensure_tables", flip_odd_diagonal)
+        failing = {"relation": "quadratic-g1", "status": "fail", "witness": [2, 2]}
+        assert _entry(check_ak_presentation(2, (1,), (2,)), "quadratic-g1") == failing
+        assert _entry(check_shoji_presentation(2, (1,), (2,)), "quadratic-g1") == failing
+        monkeypatch.undo()
+        _assert_all_pass(check_ak_presentation(2, (1,), (2,)), "unbroken")
+
+    def test_broken_color_scaling_names_first_witness(self, monkeypatch):
+        # letter 2 has color 2; scaling it by u2^(e+1) instead of u2^e breaks
+        # the cyclotomic relation of xi_j on the first word with 2 at j
+        def overscale_letter_2(alph, factors, e):
+            return factors[:2] + (alph.poly_to_raw(MultiPoly.u_power(2, 2, e + 1)),)
+
+        _break(monkeypatch, "_omega_factors", overscale_letter_2)
+        report = check_shoji_presentation(2, (1, 1), (0, 0))
+        assert _entry(report, "cyclotomic-xi1") == {
+            "relation": "cyclotomic-xi1", "status": "fail", "witness": [2, 1]}
+        assert _entry(report, "cyclotomic-xi2") == {
+            "relation": "cyclotomic-xi2", "status": "fail", "witness": [1, 2]}
+        monkeypatch.undo()
+        _assert_all_pass(check_shoji_presentation(2, (1, 1), (0, 0)), "unbroken")
 
     def test_report_shape(self):
         report = check_ak_presentation(1, (1, 1), (0, 0))
