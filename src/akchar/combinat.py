@@ -61,18 +61,18 @@ def list_multipartitions(m: int, n: int) -> list[tuple[tuple[int, ...], ...]]:
         raise ValueError("need at least one component")
     if n < 0:
         raise ValueError("size must be nonnegative")
+    return sorted(_multipartitions(m, n), reverse=True)
 
-    def rec(components: int, left: int):
-        if components == 1:
-            for lam in partitions(left):
-                yield (lam,)
-            return
-        for a in range(left, -1, -1):
-            for lam in partitions(a):
-                for rest in rec(components - 1, left - a):
-                    yield (lam,) + rest
 
-    return sorted(rec(m, n), reverse=True)
+def _multipartitions(components: int, left: int):
+    if components == 1:
+        for lam in partitions(left):
+            yield (lam,)
+        return
+    for a in range(left, -1, -1):
+        for lam in partitions(a):
+            for rest in _multipartitions(components - 1, left - a):
+                yield (lam,) + rest
 
 
 def mp_size(mu) -> int:

@@ -167,22 +167,36 @@ def character_value(mu, spec: CharSpec) -> MultiPoly:
     ])
 
 
+@lru_cache(maxsize=64)  # callers walk one alphabet at a time
+def _group_factor(r: int, odd: int, m: int, k, l) -> tuple[int, ...]:
+    # sum_i w_i x**((r-1)(i-1)) in Z[x]/(x**m - 1), where w_i is
+    # k_i + l_i for an odd part and k_i - l_i for an even one
+    coeffs = [0] * m
+    for i in range(m):
+        coeffs[(r - 1) * i % m] += k[i] + l[i] if odd else k[i] - l[i]
+    return tuple(coeffs)
+
+
 def group_character_value(mu, spec: CharSpec) -> CycloElem:
     """Character value in the reflection-group specialization (q = 1 and
-    u_i the powers of a primitive m-th root of unity)."""
+    u_i the powers of a primitive m-th root of unity).
+
+    The block factors are multiplied as integer residues in Z[x]/(x**m - 1)
+    and reduced mod Phi_m once at the end; that quotient map is a ring
+    homomorphism, so the value is the same as reducing after every step."""
     mu = _check_mu(mu, spec.m, spec.n)
     m = spec.m
-    result = CycloElem.from_int(m, 1)
+    result = [1] + [0] * (m - 1)
     for r, comp in enumerate(mu, start=1):
         for part in comp:
-            sign = -1 if part % 2 else 1
-            factor = CycloElem.from_int(m, 0)
-            for i in range(1, m + 1):
-                weight = spec.k[i - 1] - sign * spec.l[i - 1]
-                if weight:
-                    factor = factor + weight * CycloElem.x_power(m, (r - 1) * (i - 1))
-            result = result * factor
-    return result
+            factor = _group_factor(r, part % 2, m, spec.k, spec.l)
+            prod = [0] * m
+            for i, a in enumerate(result):
+                if a:
+                    for j, b in enumerate(factor):
+                        prod[(i + j) % m] += a * b
+            result = prod
+    return CycloElem(m, result)
 
 
 def _bounded_tuples(length: int, total: int):

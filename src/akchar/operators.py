@@ -231,38 +231,43 @@ def _g0_expansion(n: int) -> list[tuple]:
     return word
 
 
-def _compile_word(word, n: int, alph: GradedAlphabet):
-    """Translate a generator word into application-order steps."""
-    t_tab, tinv_tab, s_tab = alph._ensure_tables()
-    steps: list[tuple] = []
+# the length of each operator symbol, its tag included
+_ARITY = {"g": 2, "ginv": 2, "swap": 2, "xi": 3, "g0": 1}
 
-    def emit(sym):
+
+def _compile_word(word, n: int, alph: GradedAlphabet):
+    """Translate a generator word into application-order steps.
+
+    ``("g0",)`` is replaced by its expansion before one plain loop compiles
+    the word, so no closure is built and the steps hold no reference cycle:
+    reference counting frees them and the alphabet's tables."""
+    t_tab, tinv_tab, s_tab = alph._ensure_tables()
+    symbols: list[tuple] = []
+    for sym in word:
+        tag = sym[0] if sym else None
+        if tag == "s":
+            raise ValueError(
+                "group-generator words act only through specialization"
+            )
+        if len(sym) != _ARITY.get(tag):
+            raise ValueError(f"unknown or malformed generator symbol {sym!r}")
+        symbols += _g0_expansion(n) if tag == "g0" else (sym,)
+    steps: list[tuple] = []
+    for sym in symbols:
         tag = sym[0]
-        if tag == "g" or tag == "ginv" or tag == "swap":
-            i = sym[1]
-            if not 1 <= i <= n - 1:
-                raise ValueError(f"braid index {i} out of range for n={n}")
-            table = t_tab if tag == "g" else tinv_tab if tag == "ginv" else s_tab
-            steps.append(("pair", i - 1, table, 0))
-        elif tag == "xi":
+        if tag == "xi":
             j, e = sym[1], sym[2]
             if not 1 <= j <= n:
                 raise ValueError(f"position {j} out of range for n={n}")
             if e < 1:
                 raise ValueError("color-scaling exponents must be positive")
             steps.append(("diag", j - 1, alph._omega_factors(e), e))
-        elif tag == "g0":
-            for part in _g0_expansion(n):
-                emit(part)
-        elif tag == "s":
-            raise ValueError(
-                "group-generator words act only through specialization"
-            )
         else:
-            raise ValueError(f"unknown generator symbol {sym!r}")
-
-    for sym in word:
-        emit(sym)
+            i = sym[1]
+            if not 1 <= i <= n - 1:
+                raise ValueError(f"braid index {i} out of range for n={n}")
+            table = t_tab if tag == "g" else tinv_tab if tag == "ginv" else s_tab
+            steps.append(("pair", i - 1, table, 0))
     steps.reverse()  # rightmost symbol acts first
     return steps
 
@@ -378,10 +383,15 @@ def trace_of_word(word, n: int, alphabet: GradedAlphabet) -> MultiPoly:
     return alphabet.poly_from_raw(total)
 
 
+@lru_cache(maxsize=1)
+def _alphabet(k, l) -> GradedAlphabet:
+    # callers visit one alphabet for many multipartitions in a row
+    return GradedAlphabet(k, l)
+
+
 @lru_cache(maxsize=None)
 def _char_value_oracle(mu, k, l) -> MultiPoly:
-    alphabet = GradedAlphabet(k, l)
-    return trace_of_word(word_hecke(mu), mp_size(mu), alphabet)
+    return trace_of_word(word_hecke(mu), mp_size(mu), _alphabet(k, l))
 
 
 def char_value_oracle(mu, k, l) -> MultiPoly:

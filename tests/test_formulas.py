@@ -1,6 +1,7 @@
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from akchar.combinat import list_graded_pairs, list_multipartitions, pair_stats
 from akchar.formulas import (
@@ -181,6 +182,40 @@ class TestGroupValue:
                     assert specialize_to_group(
                         char_value_oracle(mu, k, l), m
                     ) == group_character_value(mu, spec), mu
+
+
+def _group_value_by_cyclo_chain(mu, spec):
+    # every term a CycloElem, reduced mod Phi_m at each + and *
+    m = spec.m
+    result = CycloElem.from_int(m, 1)
+    for r, comp in enumerate(mu, start=1):
+        for part in comp:
+            sign = -1 if part % 2 else 1
+            factor = CycloElem.from_int(m, 0)
+            for i in range(1, m + 1):
+                weight = spec.k[i - 1] - sign * spec.l[i - 1]
+                if weight:
+                    factor = factor + weight * CycloElem.x_power(m, (r - 1) * (i - 1))
+            result = result * factor
+    return result
+
+
+@st.composite
+def group_cases(draw):
+    m = draw(st.integers(1, 6))
+    entries = st.lists(st.integers(0, 3), min_size=m, max_size=m)
+    k = draw(entries)
+    l = draw(entries.filter(lambda l: sum(k) + sum(l) > 0))
+    mu = draw(st.sampled_from(list_multipartitions(m, draw(st.integers(0, 5)))))
+    return mu, CharSpec(m, k, l)
+
+
+@settings(max_examples=300, deadline=None)
+@given(group_cases())
+def test_group_value_matches_cyclo_chain(case):
+    mu, spec = case
+    got = group_character_value(mu, spec)
+    assert got.coeffs == _group_value_by_cyclo_chain(mu, spec).coeffs
 
 
 class TestSingleHookSlices:

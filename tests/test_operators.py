@@ -1,3 +1,4 @@
+import gc
 import itertools
 import random
 
@@ -5,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from akchar.combinat import list_multipartitions
+from akchar.formulas import CharSpec, group_character_value
 from akchar.operators import (
     GradedAlphabet,
     TensorState,
@@ -303,6 +305,16 @@ class TestTrace:
         with pytest.raises(ValueError):
             trace_of_word((("s", 1),), 2, alph)
 
+    @pytest.mark.parametrize("sym", [
+        ("xi", 1), ("g",), (), ("g", 1, 7), ("xi", 1, 1, 9),
+    ])
+    def test_malformed_symbol_rejected(self, sym):
+        alph = GradedAlphabet((1,), (1,))
+        with pytest.raises(ValueError, match="generator symbol"):
+            trace_of_word((sym,), 2, alph)
+        with pytest.raises(ValueError, match="generator symbol"):
+            apply_generator(sym, unit((1, 2), 1), alph)
+
     def test_mixed_words_match_apply_generator(self):
         # words with ginv, swap and g0 trace exactly: the trace is the sum of
         # the diagonal entries of apply_generator over the unit basis words
@@ -334,6 +346,31 @@ class TestTrace:
             a = tuple(rng.choice(symbols) for _ in range(rng.randint(0, 3)))
             b = tuple(rng.choice(symbols) for _ in range(rng.randint(0, 3)))
             assert trace_of_word(a + b, n, alph) == trace_of_word(b + a, n, alph)
+
+
+def test_sweep_calls_leave_no_cyclic_garbage():
+    # each call's objects are freed by reference counting alone: nothing is
+    # left for the cycle collector, so no alphabet outlives its trace
+    k, l = (2, 1), (0, 3)  # an alphabet no other test traces
+    calls = [lambda mu=mu: char_value_oracle(mu, k, l)
+             for mu in list_multipartitions(2, 3)]
+    calls += [
+        lambda: trace_of_word((("g0",), ("g", 1), ("g0",)), 3,
+                              GradedAlphabet(k, l)),
+        lambda: check_ak_presentation(2, (1, 1), (1, 0)),
+        lambda: check_shoji_presentation(2, (1, 1), (1, 0)),
+        lambda: list_multipartitions(3, 3),
+        lambda: group_character_value(((2, 1), (1,), ()),
+                                      CharSpec(3, (1, 0, 2), (1, 1, 0))),
+    ]
+    gc.collect()
+    gc.disable()
+    try:
+        for i, call in enumerate(calls):
+            call()
+            assert gc.collect() == 0, i
+    finally:
+        gc.enable()
 
 
 class TestOracle:
