@@ -7,14 +7,11 @@ combinatorics.  All arithmetic is exact.
 """
 
 from .combinat import (
-    GradedPair,
     count_semistandard,
     count_standard_multitableaux,
     format_multipartition,
-    list_graded_pairs,
     list_hook_multipartitions,
     list_multipartitions,
-    pair_stats,
     parse_multipartition,
     word_hecke,
 )
@@ -54,7 +51,6 @@ __all__ = [
     "CharSpec",
     "CycloElem",
     "GradedAlphabet",
-    "GradedPair",
     "MultiPoly",
     "TensorState",
     "TruncSeries",
@@ -72,11 +68,9 @@ __all__ = [
     "format_multipartition",
     "group_character_value",
     "hook_sum_rhs",
-    "list_graded_pairs",
     "list_hook_multipartitions",
     "list_multipartitions",
     "pair_regev_rhs",
-    "pair_stats",
     "parse_multipartition",
     "specialize_to_group",
     "theta",

@@ -9,15 +9,12 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
 
 __all__ = [
-    "GradedPair",
     "partitions",
     "compositions",
     "list_multipartitions",
     "list_graded_pairs",
-    "pair_stats",
     "list_hook_multipartitions",
     "count_semistandard",
     "count_standard_multitableaux",
@@ -25,6 +22,7 @@ __all__ = [
     "mp_size",
     "mp_length",
     "mp_num_nonzero",
+    "check_multipartition",
     "parse_multipartition",
     "format_multipartition",
 ]
@@ -87,27 +85,32 @@ def mp_num_nonzero(mu) -> int:
     return sum(1 for comp in mu if comp)
 
 
+def check_multipartition(mu, m: int) -> tuple:
+    """``mu`` as a tuple of tuples, checked to have ``m`` components whose
+    parts are positive integers."""
+    mu = tuple(map(tuple, mu))
+    if len(mu) != m:
+        raise ValueError(f"expected {m} components, got {len(mu)}")
+    for comp in mu:
+        for p in comp:  # a plain loop: every evaluator call runs this
+            if type(p) is not int or p < 1:
+                raise ValueError(f"parts must be positive integers, got {list(comp)}")
+    return mu
+
+
 def parse_multipartition(text: str, m: int | None = None):
     """Parse the ``[[3,1],[],[2]]`` text form into a multipartition."""
     try:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ValueError(f"malformed multipartition {text!r}: {exc}") from None
-    if not isinstance(obj, list) or not obj:
+    if not isinstance(obj, list) or not obj or not all(
+            isinstance(comp, list) for comp in obj):
         raise ValueError(f"malformed multipartition {text!r}")
-    mu = []
-    for comp in obj:
-        if not isinstance(comp, list):
-            raise ValueError(f"malformed multipartition {text!r}")
-        parts = tuple(comp)
-        if not all(type(p) is int and p > 0 for p in parts):
-            raise ValueError(f"parts must be positive integers in {text!r}")
+    mu = check_multipartition(obj, len(obj) if m is None else m)
+    for parts in mu:
         if any(parts[i] < parts[i + 1] for i in range(len(parts) - 1)):
             raise ValueError(f"parts must be weakly decreasing in {text!r}")
-        mu.append(parts)
-    mu = tuple(mu)
-    if m is not None and len(mu) != m:
-        raise ValueError(f"expected {m} components, got {len(mu)}")
     return mu
 
 
@@ -115,46 +118,11 @@ def format_multipartition(mu) -> str:
     return json.dumps([list(comp) for comp in mu], separators=(",", ","))
 
 
-@dataclass(frozen=True)
-class GradedPair:
-    """A pair (alpha; beta) of m-tuples of positive-part compositions."""
-
-    alpha: tuple[tuple[int, ...], ...]
-    beta: tuple[tuple[int, ...], ...]
-
-    @property
-    def length(self) -> int:
-        """Total number of parts across both tuples."""
-        return sum(len(c) for c in self.alpha) + sum(len(c) for c in self.beta)
-
-    @property
-    def last_occupied(self) -> int:
-        """Largest 1-based component index carrying any part."""
-        last = 0
-        for i, (a, b) in enumerate(zip(self.alpha, self.beta), start=1):
-            if a or b:
-                last = i
-        if not last:
-            raise ValueError("empty pair has no occupied component")
-        return last
-
-    @property
-    def beta_size(self) -> int:
-        return sum(sum(c) for c in self.beta)
-
-    @property
-    def beta_length(self) -> int:
-        return sum(len(c) for c in self.beta)
-
-
-def pair_stats(pair: GradedPair) -> tuple[int, int, int, int]:
-    """(total length, last occupied component, |beta|, length of beta)."""
-    return pair.length, pair.last_occupied, pair.beta_size, pair.beta_length
-
-
-def list_graded_pairs(a: int, k, l) -> list[GradedPair]:
-    """All pairs of m-tuples of compositions with total size ``a`` whose
-    component lengths are bounded by ``k`` (alpha side) and ``l`` (beta side)."""
+def list_graded_pairs(a: int, k, l) -> list[tuple]:
+    """All pairs ``(alpha, beta)`` of m-tuples of compositions with total
+    size ``a`` whose component lengths are bounded by ``k`` (alpha side) and
+    ``l`` (beta side), sorted.  The closed form counts these pairs by a
+    dynamic program instead; the list is its test reference."""
     k = tuple(int(x) for x in k)
     l = tuple(int(x) for x in l)
     if len(k) != len(l):
@@ -164,22 +132,20 @@ def list_graded_pairs(a: int, k, l) -> list[GradedPair]:
     if any(x < 0 for x in k + l):
         raise ValueError("length bounds must be nonnegative")
     m = len(k)
-    bounds = k + l
-    found: list[tuple[tuple[int, ...], ...]] = []
+    return sorted((t[:m], t[m:]) for t in _bounded_compositions(k + l, a))
 
-    def rec(slot: int, left: int, acc):
-        if slot == 2 * m:
-            if left == 0:
-                found.append(acc)
-            return
-        for size in range(left + 1):
-            for comp in compositions(size, bounds[slot]):
-                rec(slot + 1, left - size, acc + (comp,))
 
-    rec(0, a, ())
-    pairs = [GradedPair(t[:m], t[m:]) for t in found]
-    pairs.sort(key=lambda p: (p.alpha, p.beta))
-    return pairs
+def _bounded_compositions(bounds, left: int):
+    # tuples of compositions of total size ``left``, one per bound, each with
+    # at most that many parts
+    if not bounds:
+        if left == 0:
+            yield ()
+        return
+    for size in range(left + 1):
+        for comp in compositions(size, bounds[0]):
+            for rest in _bounded_compositions(bounds[1:], left - size):
+                yield (comp,) + rest
 
 
 def list_hook_multipartitions(n: int, k, l) -> list[tuple[tuple[int, ...], ...]]:
@@ -207,36 +173,34 @@ def _hook_fillings(shape: tuple[int, ...], n_even: int, n_odd: int) -> int:
     # increasing down columns; odd letters fill the complementary skew shape,
     # strictly increasing in rows and weakly increasing down columns.
     cells = [(r, c) for r, width in enumerate(shape) for c in range(width)]
-    if not cells:
+    return _place(cells, 0, {}, n_even, n_odd)
+
+
+def _place(cells, idx: int, grid: dict, n_even: int, n_odd: int) -> int:
+    # fillings of cells[idx:] given the (parity, letter) already in ``grid``
+    if idx == len(cells):
         return 1
-    grid: dict[tuple[int, int], tuple[int, int]] = {}
-
-    def place(idx: int) -> int:
-        if idx == len(cells):
-            return 1
-        r, c = cells[idx]
-        left = grid.get((r, c - 1)) if c else None
-        up = grid.get((r - 1, c)) if r else None
-        total = 0
-        if not (left and left[0]) and not (up and up[0]):
-            for letter in range(1, n_even + 1):
-                if left and left[0] == 0 and left[1] > letter:
-                    continue
-                if up and up[0] == 0 and up[1] >= letter:
-                    continue
-                grid[(r, c)] = (0, letter)
-                total += place(idx + 1)
-        for letter in range(1, n_odd + 1):
-            if left and left[0] == 1 and left[1] >= letter:
+    r, c = cells[idx]
+    left = grid.get((r, c - 1)) if c else None
+    up = grid.get((r - 1, c)) if r else None
+    total = 0
+    if not (left and left[0]) and not (up and up[0]):
+        for letter in range(1, n_even + 1):
+            if left and left[0] == 0 and left[1] > letter:
                 continue
-            if up and up[0] == 1 and up[1] > letter:
+            if up and up[0] == 0 and up[1] >= letter:
                 continue
-            grid[(r, c)] = (1, letter)
-            total += place(idx + 1)
-        grid.pop((r, c), None)
-        return total
-
-    return place(0)
+            grid[(r, c)] = (0, letter)
+            total += _place(cells, idx + 1, grid, n_even, n_odd)
+    for letter in range(1, n_odd + 1):
+        if left and left[0] == 1 and left[1] >= letter:
+            continue
+        if up and up[0] == 1 and up[1] > letter:
+            continue
+        grid[(r, c)] = (1, letter)
+        total += _place(cells, idx + 1, grid, n_even, n_odd)
+    grid.pop((r, c), None)
+    return total
 
 
 def count_semistandard(mu, k, l) -> int:

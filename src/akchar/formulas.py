@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .combinat import list_graded_pairs  # noqa: F401  (bench/spans.py wraps this name)
-from .combinat import mp_length, mp_size
+from .combinat import check_multipartition, mp_length, mp_size
 from .rings import CycloElem, MultiPoly, TruncSeries, expand_at_q1
 
 __all__ = [
@@ -92,11 +92,9 @@ def _hook_factor(x: int, c, m: int) -> MultiPoly:
 
 
 def _check_mu(mu, m: int, n: int | None = None) -> tuple:
-    """``mu`` as a tuple of tuples, checked to have ``m`` components and,
-    when ``n`` is given, size ``n``."""
-    mu = tuple(tuple(comp) for comp in mu)
-    if len(mu) != m:
-        raise ValueError(f"expected {m} components, got {len(mu)}")
+    """``mu`` as a tuple of tuples, checked to have ``m`` components of
+    positive parts and, when ``n`` is given, size ``n``."""
+    mu = check_multipartition(mu, m)
     if n is not None and mp_size(mu) != n:
         raise ValueError(f"multipartition size {mp_size(mu)} != n={n}")
     return mu
@@ -301,9 +299,7 @@ def pair_regev_rhs(mu, order: int = 2) -> tuple[TruncSeries, int]:
     u_2 kept as the free variable): the truncated series and the group-case
     number.  For comparison reporting only; the constants are not asserted
     against the oracle."""
-    mu = tuple(tuple(comp) for comp in mu)
-    if len(mu) != 2:
-        raise ValueError("the pair formula needs exactly two components")
+    mu = _check_mu(mu, 2)
     if mp_size(mu) < 1:
         raise ValueError("the pair must be nonempty")
     m = 2

@@ -17,7 +17,7 @@ from __future__ import annotations
 import itertools
 from functools import lru_cache
 
-from .combinat import mp_size, word_hecke
+from .combinat import check_multipartition, mp_size, word_hecke
 from .rings import MultiPoly
 
 __all__ = [
@@ -42,7 +42,7 @@ class GradedAlphabet:
     """
 
     __slots__ = (
-        "k", "l", "m", "size", "colors", "parities", "offsets",
+        "k", "l", "m", "size", "colors", "parities",
         "_shift", "_tables", "_omega_cache",
     )
 
@@ -60,17 +60,12 @@ class GradedAlphabet:
         self.m = len(k)
         colors: list[int] = [0]  # index 0 unused; letters are 1-based
         parities: list[int] = [0]
-        offsets = []
-        total = 0
         for i, (ki, li) in enumerate(zip(k, l), start=1):
             colors.extend([i] * (ki + li))
             parities.extend([0] * ki + [1] * li)
-            total += ki + li
-            offsets.append(total)
-        self.size = total
+        self.size = len(colors) - 1
         self.colors = tuple(colors)
         self.parities = tuple(parities)
-        self.offsets = tuple(offsets)
         self._shift = _FIELD_BITS * self.m
         self._tables = None
         self._omega_cache: dict[int, tuple] = {}
@@ -397,9 +392,7 @@ def _char_value_oracle(mu, k, l) -> MultiPoly:
 def char_value_oracle(mu, k, l) -> MultiPoly:
     """Brute-force character value: trace of the standard word on the full
     tensor power.  The result is the caller's own copy of the cached value."""
-    mu = tuple(tuple(comp) for comp in mu)
-    if len(mu) != len(k):
-        raise ValueError(f"expected {len(k)} components, got {len(mu)}")
+    mu = check_multipartition(mu, len(k))
     n = mp_size(mu)
     if n < 1:
         raise ValueError("the multipartition must have positive size")

@@ -151,15 +151,6 @@ class MultiPoly(_Ring):
     def __bool__(self) -> bool:
         return bool(self.terms)
 
-    def as_int(self) -> int:
-        """The value of a constant polynomial (ValueError otherwise)."""
-        if not self.terms:
-            return 0
-        zero_key = (0,) * (self.m + 1)
-        if len(self.terms) == 1 and zero_key in self.terms:
-            return self.terms[zero_key]
-        raise ValueError(f"{self.to_text()} is not a constant")
-
     # -- arithmetic ------------------------------------------------------
 
     def _coerce(self, other):

@@ -11,6 +11,15 @@ import pytest
 from akchar.cli import main
 
 
+@pytest.mark.parametrize("module", [
+    "akchar", "akchar.cli", "akchar.combinat", "akchar.formulas",
+    "akchar.operators", "akchar.rings", "akchar.verify",
+])
+def test_public_names_exist(module):
+    mod = importlib.import_module(module)
+    assert [name for name in mod.__all__ if not hasattr(mod, name)] == []
+
+
 def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()

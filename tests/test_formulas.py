@@ -3,7 +3,7 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from akchar.combinat import list_graded_pairs, list_multipartitions, pair_stats
+from akchar.combinat import list_graded_pairs, list_multipartitions
 from akchar.formulas import (
     CharSpec,
     bracket,
@@ -89,13 +89,14 @@ def theta_by_pairs(r, a, spec):
     m, k, l = spec.m, spec.k, spec.l
     one_minus_q = MultiPoly.one(m) - MultiPoly.q_power(1, m)
     total = MultiPoly.zero(m)
-    for pair in list_graded_pairs(a, k, l):
-        length, last, beta_size, beta_length = pair_stats(pair)
+    for alpha, beta in list_graded_pairs(a, k, l):
+        length = sum(map(len, alpha + beta))
+        last = max(i for i in range(1, m + 1) if alpha[i - 1] or beta[i - 1])
         mult = 1
         for i in range(m):
-            mult *= math.comb(k[i], len(pair.alpha[i]))
-            mult *= math.comb(l[i], len(pair.beta[i]))
-        excess = beta_size - beta_length
+            mult *= math.comb(k[i], len(alpha[i]))
+            mult *= math.comb(l[i], len(beta[i]))
+        excess = sum(map(sum, beta)) - sum(map(len, beta))
         term = MultiPoly.const(-mult if excess % 2 else mult, m)
         term = term * MultiPoly.u_power(last, m, r - 1)
         term = term * MultiPoly.q_power(excess, m)
@@ -182,6 +183,25 @@ class TestGroupValue:
                     assert specialize_to_group(
                         char_value_oracle(mu, k, l), m
                     ) == group_character_value(mu, spec), mu
+
+
+_SPEC2 = CharSpec(2, (1, 1), (1, 1))
+
+
+@pytest.mark.parametrize("mu", [((2, 0), ()), ((3, -1), (1,)), ((), (1.5,))])
+@pytest.mark.parametrize("evaluate", [
+    lambda mu: character_value(mu, _SPEC2),
+    lambda mu: group_character_value(mu, _SPEC2),
+    lambda mu: char_value_oracle(mu, _SPEC2.k, _SPEC2.l),
+    lambda mu: hook_sum_rhs(mu, 2),
+    lambda mu: wreath_hook_value(mu, 2),
+    pair_regev_rhs,
+], ids=["character_value", "group_character_value", "char_value_oracle",
+        "hook_sum_rhs", "wreath_hook_value", "pair_regev_rhs"])
+def test_parts_must_be_positive_integers(evaluate, mu):
+    # a zero, negative or fractional part used to give a silently wrong value
+    with pytest.raises(ValueError, match="positive integers"):
+        evaluate(mu)
 
 
 def _group_value_by_cyclo_chain(mu, spec):

@@ -5,7 +5,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from akchar.combinat import list_multipartitions
+from akchar.combinat import count_semistandard, list_graded_pairs, list_multipartitions
 from akchar.formulas import CharSpec, group_character_value
 from akchar.operators import (
     GradedAlphabet,
@@ -360,6 +360,8 @@ def test_sweep_calls_leave_no_cyclic_garbage():
         lambda: check_ak_presentation(2, (1, 1), (1, 0)),
         lambda: check_shoji_presentation(2, (1, 1), (1, 0)),
         lambda: list_multipartitions(3, 3),
+        lambda: list_graded_pairs(3, (1, 2), (2, 1)),
+        lambda: count_semistandard(((2, 1), (1, 1)), (1, 2), (2, 1)),
         lambda: group_character_value(((2, 1), (1,), ()),
                                       CharSpec(3, (1, 0, 2), (1, 1, 0))),
     ]
