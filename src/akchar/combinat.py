@@ -23,6 +23,7 @@ __all__ = [
     "mp_length",
     "mp_num_nonzero",
     "check_multipartition",
+    "check_alphabet",
     "parse_multipartition",
     "format_multipartition",
 ]
@@ -98,6 +99,18 @@ def check_multipartition(mu, m: int) -> tuple:
     return mu
 
 
+def check_alphabet(k, l) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """``(k, l)`` as tuples, checked to be nonempty, equally long vectors of
+    nonnegative integer letter counts, one entry per color."""
+    k, l = tuple(k), tuple(l)
+    if len(k) != len(l) or not k:
+        raise ValueError(f"k and l must be nonempty and equally long, got {k} and {l}")
+    for x in k + l:
+        if type(x) is not int or x < 0:
+            raise ValueError(f"letter counts must be nonnegative integers, got {x!r}")
+    return k, l
+
+
 def parse_multipartition(text: str, m: int | None = None):
     """Parse the ``[[3,1],[],[2]]`` text form into a multipartition."""
     try:
@@ -123,14 +136,9 @@ def list_graded_pairs(a: int, k, l) -> list[tuple]:
     size ``a`` whose component lengths are bounded by ``k`` (alpha side) and
     ``l`` (beta side), sorted.  The closed form counts these pairs by a
     dynamic program instead; the list is its test reference."""
-    k = tuple(int(x) for x in k)
-    l = tuple(int(x) for x in l)
-    if len(k) != len(l):
-        raise ValueError("length-bound vectors must have equal length")
+    k, l = check_alphabet(k, l)
     if a < 1:
         raise ValueError("total size must be at least 1")
-    if any(x < 0 for x in k + l):
-        raise ValueError("length bounds must be nonnegative")
     m = len(k)
     return sorted((t[:m], t[m:]) for t in _bounded_compositions(k + l, a))
 
@@ -151,10 +159,7 @@ def _bounded_compositions(bounds, left: int):
 def list_hook_multipartitions(n: int, k, l) -> list[tuple[tuple[int, ...], ...]]:
     """Multipartitions of n whose component i fits a (k_i, l_i)-hook, i.e.
     row k_i + 1 has at most l_i boxes."""
-    k = tuple(int(x) for x in k)
-    l = tuple(int(x) for x in l)
-    if len(k) != len(l):
-        raise ValueError("hook-bound vectors must have equal length")
+    k, l = check_alphabet(k, l)
     out = []
     for mu in list_multipartitions(len(k), n):
         ok = True
@@ -206,13 +211,11 @@ def _place(cells, idx: int, grid: dict, n_even: int, n_odd: int) -> int:
 def count_semistandard(mu, k, l) -> int:
     """Number of graded semistandard fillings of the multipartition, with
     k_i even and l_i odd letters available for component i."""
-    k = tuple(int(x) for x in k)
-    l = tuple(int(x) for x in l)
-    if not len(mu) == len(k) == len(l):
-        raise ValueError("component count mismatch")
+    k, l = check_alphabet(k, l)
+    mu = check_multipartition(mu, len(k))
     total = 1
     for comp, ki, li in zip(mu, k, l):
-        total *= _hook_fillings(tuple(comp), ki, li)
+        total *= _hook_fillings(comp, ki, li)
         if not total:
             return 0
     return total
@@ -241,6 +244,7 @@ def standard_tableau_count(shape) -> int:
 def count_standard_multitableaux(mu) -> int:
     """Standard fillings of a multipartition: a multinomial choice of which
     labels land in each component times the per-component counts."""
+    mu = check_multipartition(mu, len(mu))
     n = mp_size(mu)
     total = math.factorial(n)
     for comp in mu:
@@ -259,7 +263,7 @@ def word_hecke(mu) -> tuple[tuple, ...]:
     """
     syms: list[tuple] = []
     pos = 0
-    for r, comp in enumerate(mu, start=1):
+    for r, comp in enumerate(check_multipartition(mu, len(mu)), start=1):
         for part in comp:
             start, end = pos, pos + part
             if r > 1:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .combinat import list_graded_pairs  # noqa: F401  (bench/spans.py wraps this name)
-from .combinat import check_multipartition, mp_length, mp_size
+from .combinat import check_alphabet, check_multipartition, mp_length, mp_size
 from .rings import CycloElem, MultiPoly, TruncSeries, expand_at_q1
 
 __all__ = [
@@ -46,13 +46,12 @@ class CharSpec:
     n: int | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "k", tuple(int(x) for x in self.k))
-        object.__setattr__(self, "l", tuple(int(x) for x in self.l))
-        if len(self.k) != self.m or len(self.l) != self.m:
+        k, l = check_alphabet(self.k, self.l)
+        if len(k) != self.m:
             raise ValueError("k and l must both have length m")
-        if any(x < 0 for x in self.k + self.l):
-            raise ValueError("letter counts must be nonnegative")
-        if sum(self.k) + sum(self.l) < 1:
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "l", l)
+        if sum(k) + sum(l) < 1:
             raise ValueError("need at least one letter overall")
         if self.n is not None and self.n < 1:
             raise ValueError("size must be positive when given")

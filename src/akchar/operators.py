@@ -5,7 +5,8 @@ symbol by symbol (rightmost symbol first) to each basis vector, with sparse
 accumulation of output coefficients; each quantum-swap symbol branches a
 basis word into at most two words.  Coefficients travel through the hot loop
 as plain dicts keyed by packed integer exponents and are converted to
-``MultiPoly`` at the boundary.
+``MultiPoly`` at the boundary.  Each presentation check lists its relations
+as data, a name and two sides, and one loop checks them on every basis word.
 
 The key of ``q^e u_1^a_1 ... u_m^a_m`` is ``(e << 8m) + sum a_i << 8(i-1)``:
 each u-exponent has an 8-bit field and q the signed top field, so the unit
@@ -17,7 +18,7 @@ from __future__ import annotations
 import itertools
 from functools import lru_cache
 
-from .combinat import check_multipartition, mp_size, word_hecke
+from .combinat import check_alphabet, check_multipartition, mp_size, word_hecke
 from .rings import MultiPoly
 
 __all__ = [
@@ -47,12 +48,7 @@ class GradedAlphabet:
     )
 
     def __init__(self, k, l):
-        k = tuple(int(x) for x in k)
-        l = tuple(int(x) for x in l)
-        if len(k) != len(l) or not k:
-            raise ValueError("color vectors must be nonempty and equally long")
-        if any(x < 0 for x in k + l):
-            raise ValueError("letter counts must be nonnegative")
+        k, l = check_alphabet(k, l)
         if sum(k) + sum(l) < 1:
             raise ValueError("the alphabet needs at least one letter")
         self.k = k
@@ -195,25 +191,19 @@ def _padd_into(acc: dict, p: dict) -> None:
             del acc[key]
 
 
-def _state_scale(state: dict, factor: dict) -> dict:
-    return {w: _pmul(c, factor) for w, c in state.items()}
-
-
-def _state_add(a: dict, b: dict) -> dict:
+def _state_add(a: dict, b: dict, factor: dict) -> dict:
+    """The raw state ``a + factor*b``."""
     out = {w: dict(c) for w, c in a.items()}
     for w, c in b.items():
+        prod = _pmul(c, factor)
         acc = out.get(w)
         if acc is None:
-            out[w] = dict(c)
+            out[w] = prod
         else:
-            _padd_into(acc, c)
+            _padd_into(acc, prod)
             if not acc:
                 del out[w]
     return out
-
-
-def _state_sub(a: dict, b: dict) -> dict:
-    return _state_add(a, _state_scale(b, {0: -1}))
 
 
 # -- word compilation and application ---------------------------------------
@@ -392,95 +382,107 @@ def _char_value_oracle(mu, k, l) -> MultiPoly:
 def char_value_oracle(mu, k, l) -> MultiPoly:
     """Brute-force character value: trace of the standard word on the full
     tensor power.  The result is the caller's own copy of the cached value."""
+    k, l = check_alphabet(k, l)
     mu = check_multipartition(mu, len(k))
     n = mp_size(mu)
     if n < 1:
         raise ValueError("the multipartition must have positive size")
-    cached = _char_value_oracle(mu, tuple(k), tuple(l))
+    cached = _char_value_oracle(mu, k, l)
     return MultiPoly._raw(cached.m, dict(cached.terms))
 
 
 # -- presentation checks ------------------------------------------------------
 
-def _relation(report, name, alph, n, lhs, rhs):
-    # lhs/rhs: callables mapping a basis word to a raw operator-output state
-    for basis in itertools.product(range(1, alph.size + 1), repeat=n):
-        if lhs(basis) != rhs(basis):
-            report.append(
-                {"relation": name, "status": "fail", "witness": list(basis)}
-            )
-            return
-    report.append({"relation": name, "status": "pass", "witness": None})
+def _zero(basis):
+    return {}
 
 
 def _runner(word, n, alph):
     steps = _compile_word(word, n, alph)
-
-    def run(basis):
-        return _apply_steps({basis: {0: 1}}, steps)
-
-    return run
+    return lambda basis: _apply_steps({basis: {0: 1}}, steps)
 
 
-def _annihilator(steps, roots):
+def _report(alph, n, relations) -> list[dict]:
+    """Check each ``(name, lhs, rhs)`` relation on every basis word, in
+    order.  A side is an operator word or a callable from a basis word to a
+    raw state; a failure's witness is the first basis word on which the two
+    sides differ."""
+    report: list[dict] = []
+    for name, *sides in relations:
+        lhs, rhs = (s if callable(s) else _runner(s, n, alph) for s in sides)
+        witness = None
+        for basis in itertools.product(range(1, alph.size + 1), repeat=n):
+            if lhs(basis) != rhs(basis):
+                witness = list(basis)
+                break
+        report.append({"relation": name, "status": "fail" if witness else "pass",
+                       "witness": witness})
+    return report
+
+
+def _annihilator(word, n, alph, roots):
     """Basis word -> the product of (X - r) over the raw ``roots`` applied to
-    it, where X acts by ``steps``; zero on every word when that polynomial
+    it, where X acts by ``word``; zero on every word when that polynomial
     annihilates X."""
+    steps = _compile_word(word, n, alph)
+    negated = [{key: -c for key, c in r.items()} for r in roots]
 
     def lhs(basis):
         state = {basis: {0: 1}}
-        for r in roots:
-            state = _state_sub(_apply_steps(state, steps), _state_scale(state, r))
+        for r in negated:
+            state = _state_add(_apply_steps(state, steps), state, r)
         return state
 
     return lhs
 
 
-def _hecke_relations(report, alph, n):
+def _exchange(word, n, alph, j, corr, sign):
+    """Basis word w -> ``word`` applied to w, plus ``sign * corr[c, d] * w``
+    when the letters of w at positions j, j+1 have colors (c, d) in ``corr``."""
+    run = _runner(word, n, alph)
+
+    def rhs(basis):
+        factor = corr.get((alph.colors[basis[j - 1]], alph.colors[basis[j]]))
+        state = run(basis)
+        return _state_add(state, {basis: factor}, {0: sign}) if factor else state
+
+    return rhs
+
+
+def _hecke_relations(alph, n):
     """The quadratic, far-commutation and braid relations of g_1..g_{n-1};
     the quadratic one as (T - 1)(T + q) = 0, that is T^2 = (1-q)T + q."""
     roots = ({0: 1}, {alph._encode(1, ()): -1})
     for i in range(1, n):
-        steps = _compile_word((("g", i),), n, alph)
-        _relation(report, f"quadratic-g{i}", alph, n,
-                  _annihilator(steps, roots), lambda basis: {})
-
+        yield f"quadratic-g{i}", _annihilator((("g", i),), n, alph, roots), _zero
     for i in range(1, n):
         for j in range(i + 2, n):
-            lhs = _runner((("g", i), ("g", j)), n, alph)
-            rhs = _runner((("g", j), ("g", i)), n, alph)
-            _relation(report, f"commute-g{i}-g{j}", alph, n, lhs, rhs)
-
+            yield f"commute-g{i}-g{j}", (("g", i), ("g", j)), (("g", j), ("g", i))
     for i in range(1, n - 1):
-        lhs = _runner((("g", i), ("g", i + 1), ("g", i)), n, alph)
-        rhs = _runner((("g", i + 1), ("g", i), ("g", i + 1)), n, alph)
-        _relation(report, f"braid-g{i}-g{i + 1}", alph, n, lhs, rhs)
+        yield (f"braid-g{i}-g{i + 1}", (("g", i), ("g", i + 1), ("g", i)),
+               (("g", i + 1), ("g", i), ("g", i + 1)))
 
 
 def check_ak_presentation(n: int, k, l) -> list[dict]:
     """Verify the cyclotomic-generator presentation as operator identities on
-    every basis word; failures are reported with a witness, never raised."""
+    every basis word; failures are reported with a witness, never raised.
+    The relations are listed as data and checked by ``_report``."""
     if n < 1:
         raise ValueError("need n >= 1")
     alph = GradedAlphabet(k, l)
-    report: list[dict] = []
     roots = [alph.u_raw(c) for c in range(1, alph.m + 1)]
-    g0_steps = _compile_word((("g0",),), n, alph)
-    _relation(report, "cyclotomic-g0", alph, n, _annihilator(g0_steps, roots),
-              lambda basis: {})
-
+    relations = [("cyclotomic-g0", _annihilator((("g0",),), n, alph, roots), _zero)]
     if n >= 2:
-        lhs = _runner((("g0",), ("g", 1), ("g0",), ("g", 1)), n, alph)
-        rhs = _runner((("g", 1), ("g0",), ("g", 1), ("g0",)), n, alph)
-        _relation(report, "braid-g0-g1", alph, n, lhs, rhs)
-
-    _hecke_relations(report, alph, n)
-    return report
+        relations.append(("braid-g0-g1", (("g0",), ("g", 1), ("g0",), ("g", 1)),
+                          (("g", 1), ("g0",), ("g", 1), ("g0",))))
+    relations += _hecke_relations(alph, n)
+    return _report(alph, n, relations)
 
 
 def check_shoji_presentation(n: int, k, l) -> list[dict]:
     """Verify the braid/color-scaling presentation as operator identities on
     every basis word; failures are reported with a witness, never raised.
+    The relations are listed as data and checked by ``_report``.
 
     The two exchange relations are checked in eigenvalue form.  For a basis
     word w whose letters at positions j, j+1 have colors c, d::
@@ -499,29 +501,7 @@ def check_shoji_presentation(n: int, k, l) -> list[dict]:
         raise ValueError("need n >= 2")
     alph = GradedAlphabet(k, l)
     m = alph.m
-    report: list[dict] = []
-    _hecke_relations(report, alph, n)
     roots = [alph.u_raw(c) for c in range(1, m + 1)]
-
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            lhs = _runner((("xi", i, 1), ("xi", j, 1)), n, alph)
-            rhs = _runner((("xi", j, 1), ("xi", i, 1)), n, alph)
-            _relation(report, f"commute-xi{i}-xi{j}", alph, n, lhs, rhs)
-
-    for i in range(1, n + 1):
-        xi_steps = _compile_word((("xi", i, 1),), n, alph)
-        _relation(report, f"cyclotomic-xi{i}", alph, n,
-                  _annihilator(xi_steps, roots), lambda basis: {})
-
-    for j in range(1, n):
-        for i in range(1, n + 1):
-            if abs(i - j) < 2:
-                continue
-            lhs = _runner((("g", j), ("xi", i, 1)), n, alph)
-            rhs = _runner((("xi", i, 1), ("g", j)), n, alph)
-            _relation(report, f"commute-g{j}-xi{i}", alph, n, lhs, rhs)
-
     # u_c - u_d scaled by 1 - q, for the colors c < d of two adjacent letters
     one_minus_q = MultiPoly.one(m) - MultiPoly.q_power(1, m)
     corr = {
@@ -532,24 +512,25 @@ def check_shoji_presentation(n: int, k, l) -> list[dict]:
         for d in range(c + 1, m + 1)
     }
 
+    relations = list(_hecke_relations(alph, n))
+    relations += [
+        (f"commute-xi{i}-xi{j}",
+         (("xi", i, 1), ("xi", j, 1)), (("xi", j, 1), ("xi", i, 1)))
+        for i in range(1, n + 1) for j in range(i + 1, n + 1)
+    ]
+    relations += [
+        (f"cyclotomic-xi{i}", _annihilator((("xi", i, 1),), n, alph, roots), _zero)
+        for i in range(1, n + 1)
+    ]
+    relations += [
+        (f"commute-g{j}-xi{i}", (("g", j), ("xi", i, 1)), (("xi", i, 1), ("g", j)))
+        for j in range(1, n)
+        for i in range(1, n + 1)
+        if abs(i - j) >= 2
+    ]
     for j in range(1, n):
-        run_g_xi_j = _runner((("g", j), ("xi", j, 1)), n, alph)
-        run_xi_j1_g = _runner((("xi", j + 1, 1), ("g", j)), n, alph)
-        run_g_xi_j1 = _runner((("g", j), ("xi", j + 1, 1)), n, alph)
-        run_xi_j_g = _runner((("xi", j, 1), ("g", j)), n, alph)
-
-        def corr_state(basis, j=j):
-            factor = corr.get((alph.colors[basis[j - 1]], alph.colors[basis[j]]))
-            return {basis: factor} if factor else {}
-
-        def rhs_a(basis, run=run_xi_j1_g):
-            return _state_add(run(basis), corr_state(basis))
-
-        _relation(report, f"exchange-raise-g{j}", alph, n, run_g_xi_j, rhs_a)
-
-        def rhs_b(basis, run=run_xi_j_g):
-            return _state_sub(run(basis), corr_state(basis))
-
-        _relation(report, f"exchange-lower-g{j}", alph, n, run_g_xi_j1, rhs_b)
-
-    return report
+        relations.append((f"exchange-raise-g{j}", (("g", j), ("xi", j, 1)),
+                          _exchange((("xi", j + 1, 1), ("g", j)), n, alph, j, corr, 1)))
+        relations.append((f"exchange-lower-g{j}", (("g", j), ("xi", j + 1, 1)),
+                          _exchange((("xi", j, 1), ("g", j)), n, alph, j, corr, -1)))
+    return _report(alph, n, relations)

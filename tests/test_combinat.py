@@ -16,6 +16,8 @@ from akchar.combinat import (
     parse_multipartition,
     word_hecke,
 )
+from akchar.formulas import CharSpec
+from akchar.operators import GradedAlphabet, char_value_oracle
 
 
 def partition_count(n):
@@ -245,3 +247,34 @@ class TestParsing:
         # a JSON true is an int to Python; it must not pass as the part 1
         with pytest.raises(ValueError):
             parse_multipartition("[[true,true]]")
+
+
+@pytest.mark.parametrize("k, l", [
+    ((-1,), (1,)), ((1.5,), (1,)), ((True,), (1,)), ((1, 1), (1,)), ((), ()),
+], ids=["negative", "fractional", "bool", "unequal", "empty"])
+@pytest.mark.parametrize("build", [
+    lambda k, l: CharSpec(len(k), k, l),
+    GradedAlphabet,
+    lambda k, l: list_graded_pairs(2, k, l),
+    lambda k, l: list_hook_multipartitions(2, k, l),
+    lambda k, l: count_semistandard(((1,),) * len(k), k, l),
+    lambda k, l: char_value_oracle(((1,),) * len(k), k, l),
+], ids=["CharSpec", "GradedAlphabet", "list_graded_pairs",
+        "list_hook_multipartitions", "count_semistandard", "char_value_oracle"])
+def test_alphabet_checked_at_every_entry_point(build, k, l):
+    # int() used to truncate 1.5 to 1, and some entry points skipped the sign,
+    # length or emptiness check, giving silently wrong answers
+    with pytest.raises(ValueError, match="k and l must be|letter counts must be"):
+        build(k, l)
+
+
+@pytest.mark.parametrize("mu", [((2, 0), ()), ((3, -1), (1,)), ((), (1.5,))])
+@pytest.mark.parametrize("count", [
+    lambda mu: count_semistandard(mu, (1, 1), (1, 1)),
+    count_standard_multitableaux,
+    word_hecke,
+], ids=["count_semistandard", "count_standard_multitableaux", "word_hecke"])
+def test_parts_must_be_positive_integers(count, mu):
+    # a zero, negative or fractional part used to pass unchecked
+    with pytest.raises(ValueError, match="positive integers"):
+        count(mu)

@@ -518,6 +518,41 @@ class TestPresentations:
         monkeypatch.undo()
         _assert_all_pass(check_shoji_presentation(2, (1, 1), (0, 0)), "unbroken")
 
+    def test_broken_swap_names_braid_witness(self, monkeypatch):
+        # letters 1, 2 have colors 1, 2; negating T's swap coefficient on that
+        # pair, in both directions, breaks only the braid relation with g_0
+        def negate_swap_1_2(alph, tables):
+            for a, b in ((1, 2), (2, 1)):
+                tables[0][a][b] = tuple(
+                    (pair, {key: -c for key, c in f.items()} if pair == (b, a) else f)
+                    for pair, f in tables[0][a][b]
+                )
+            return tables
+
+        _break(monkeypatch, "_ensure_tables", negate_swap_1_2)
+        report = check_ak_presentation(3, (1, 1, 1), (0, 0, 0))
+        assert [entry for entry in report if entry["status"] != "pass"] == [
+            {"relation": "braid-g0-g1", "status": "fail", "witness": [1, 1, 2]}]
+
+    def test_missing_ascending_term_names_exchange_witnesses(self, monkeypatch):
+        # without its (1-q) term on the ascending cross-color pair (1, 2), T
+        # breaks the quadratic relation and both exchange relations at (1, 2)
+        def drop_ascending_cross_color_term(alph, tables):
+            for a in range(1, alph.size + 1):
+                for b in range(a + 1, alph.size + 1):
+                    if alph.colors[a] != alph.colors[b]:
+                        tables[0][a][b] = tuple(
+                            entry for entry in tables[0][a][b] if entry[0] != (a, b)
+                        )
+            return tables
+
+        _break(monkeypatch, "_ensure_tables", drop_ascending_cross_color_term)
+        report = check_shoji_presentation(2, (1, 1), (0, 0))
+        assert [entry for entry in report if entry["status"] != "pass"] == [
+            {"relation": name, "status": "fail", "witness": [1, 2]}
+            for name in ("quadratic-g1", "exchange-raise-g1", "exchange-lower-g1")
+        ]
+
     def test_report_shape(self):
         report = check_ak_presentation(1, (1, 1), (0, 0))
         assert report == [
