@@ -251,7 +251,7 @@ def run_compare_pair(args) -> int:
     cases = [mu for n in sizes for mu in list_multipartitions(2, n)]
 
     def evaluate(mu):
-        stated_series, stated_group = pair_regev_rhs(mu, 2)
+        stated_series, stated_group = pair_regev_rhs(mu)
         oracle = char_value_oracle(mu, ones, ones)
         oracle_series = expand_at_q1(oracle.substitute_u_one(1), 2)
         oracle_group = specialize_to_group(oracle, 2).as_integer()
@@ -276,12 +276,12 @@ def run_compare_pair(args) -> int:
     else:
         csv_rows = [
             [
-                json.dumps(row["mu"], separators=(",", ",")),
+                format_multipartition(mu),
                 row["stated_series_text"], row["oracle_series_text"],
                 row["series_equal"], row["stated_group"], row["oracle_group"],
                 row["group_equal"],
             ]
-            for row in rows
+            for mu, row in zip(cases, rows)
         ]
         _emit(
             _csv_doc(

@@ -56,10 +56,10 @@ def compositions(total: int, max_parts: int):
 
 def list_multipartitions(m: int, n: int) -> list[tuple[tuple[int, ...], ...]]:
     """All m-tuples of partitions of total size n, in canonical order."""
-    if m < 1:
-        raise ValueError("need at least one component")
-    if n < 0:
-        raise ValueError("size must be nonnegative")
+    if type(m) is not int or m < 1:
+        raise ValueError(f"component count must be a positive integer, got {m!r}")
+    if type(n) is not int or n < 0:
+        raise ValueError(f"size must be a nonnegative integer, got {n!r}")
     return sorted(_multipartitions(m, n), reverse=True)
 
 
@@ -86,9 +86,9 @@ def mp_num_nonzero(mu) -> int:
     return sum(1 for comp in mu if comp)
 
 
-def check_multipartition(mu, m: int) -> tuple:
+def check_multipartition(mu, m: int, n: int | None = None) -> tuple:
     """``mu`` as a tuple of tuples, checked to have ``m`` components whose
-    parts are positive integers."""
+    parts are positive integers and, when ``n`` is given, size ``n``."""
     mu = tuple(map(tuple, mu))
     if len(mu) != m:
         raise ValueError(f"expected {m} components, got {len(mu)}")
@@ -96,6 +96,8 @@ def check_multipartition(mu, m: int) -> tuple:
         for p in comp:  # a plain loop: every evaluator call runs this
             if type(p) is not int or p < 1:
                 raise ValueError(f"parts must be positive integers, got {list(comp)}")
+    if n is not None and mp_size(mu) != n:
+        raise ValueError(f"multipartition size {mp_size(mu)} != n={n}")
     return mu
 
 
@@ -134,11 +136,12 @@ def format_multipartition(mu) -> str:
 def list_graded_pairs(a: int, k, l) -> list[tuple]:
     """All pairs ``(alpha, beta)`` of m-tuples of compositions with total
     size ``a`` whose component lengths are bounded by ``k`` (alpha side) and
-    ``l`` (beta side), sorted.  The closed form counts these pairs by a
-    dynamic program instead; the list is its test reference."""
+    ``l`` (beta side), sorted.  The closed form's dynamic program counts
+    these pairs without listing them; the single-hook slices sum this list
+    pair by pair, and the tests check the dynamic program against it."""
     k, l = check_alphabet(k, l)
-    if a < 1:
-        raise ValueError("total size must be at least 1")
+    if type(a) is not int or a < 1:
+        raise ValueError(f"total size must be a positive integer, got {a!r}")
     m = len(k)
     return sorted((t[:m], t[m:]) for t in _bounded_compositions(k + l, a))
 

@@ -184,7 +184,7 @@ def suite_coef(max_n=None, m_only=None, n_only=None) -> SuiteResult:
     def check(case):
         kind, x, y = case
         if kind == "exact":
-            got, want = coef(y, 1), 2 * bracket(y, "-q")
+            got, want = coef(y, 1), 2 * bracket(y)
             if got != want:
                 return {"check": kind, "a": y, "coef": got.to_text(),
                         "expected": want.to_text()}
@@ -226,13 +226,13 @@ def suite_hook_sum(max_n=None, m_only=None, n_only=None) -> SuiteResult:
         kind, m, ones, mu = case
         if kind == "exact-row":
             got = char_value_oracle(mu, ones, ones)
-            want = 2 * bracket(mu[0][0], "-q", 1)
+            want = 2 * bracket(mu[0][0], 1)
             if got != want:
                 return {"check": kind, "mu": format_multipartition(mu),
                         "oracle": got.to_text(), "expected": want.to_text()}
             return None
         got = expand_at_q1(char_value_oracle(mu, ones, ones), 2)
-        want = hook_sum_rhs(mu, m, 2)
+        want = hook_sum_rhs(mu, m)
         if got != want:
             return {"check": kind, "m": m, "mu": format_multipartition(mu),
                     "oracle_mod_t2": got.to_text(), "hook_sum": want.to_text()}

@@ -268,6 +268,21 @@ def test_alphabet_checked_at_every_entry_point(build, k, l):
         build(k, l)
 
 
+@pytest.mark.parametrize("size", [1.5, True], ids=["fractional", "bool"])
+@pytest.mark.parametrize("build", [
+    lambda x: list_multipartitions(x, 1),
+    lambda x: list_multipartitions(1, x),
+    lambda x: list_hook_multipartitions(x, (1,), (1,)),
+    lambda x: list_graded_pairs(x, (1,), (1,)),
+], ids=["list_multipartitions-m", "list_multipartitions-n",
+        "list_hook_multipartitions", "list_graded_pairs"])
+def test_sizes_checked_at_every_enumerator(build, size):
+    # sizes are ints as letter counts are: a fractional one must not reach
+    # the recursion, and True must not pass as the size 1
+    with pytest.raises(ValueError, match="must be a (positive|nonnegative) integer"):
+        build(size)
+
+
 @pytest.mark.parametrize("mu", [((2, 0), ()), ((3, -1), (1,)), ((), (1.5,))])
 @pytest.mark.parametrize("count", [
     lambda mu: count_semistandard(mu, (1, 1), (1, 1)),
