@@ -117,7 +117,7 @@ def run_chars(args) -> int:
             raise ValueError("chars needs --n >= 1 (or an explicit --mu)")
         n = args.n
         mus = list_multipartitions(m, n)
-    spec = CharSpec(m, k, l, n=n)
+    spec = CharSpec(m, k, l)
 
     def evaluate(mu):
         if tag == "group":

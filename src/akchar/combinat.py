@@ -4,6 +4,8 @@ hook shapes, tableau counts, and the standard-element generator words.
 Conventions: partitions and compositions are tuples of strictly positive
 integers; a multipartition is an m-tuple of partitions.  Every enumeration
 returns a sorted, duplicate-free list so output is deterministic.
+``check_int`` is the one check of a scalar integer argument across the
+package: an ``int``, never a ``bool``, within its bounds.
 """
 from __future__ import annotations
 
@@ -22,11 +24,25 @@ __all__ = [
     "mp_size",
     "mp_length",
     "mp_num_nonzero",
+    "check_int",
     "check_multipartition",
     "check_alphabet",
     "parse_multipartition",
     "format_multipartition",
 ]
+
+
+def check_int(x, what: str, low: int | None = None, high: int | None = None) -> int:
+    """``x`` itself when it is an ``int`` (not a ``bool``) in ``low..high``,
+    either bound open when ``None``; otherwise a ValueError naming ``what``."""
+    if type(x) is int and (low is None or x >= low) and (high is None or x <= high):
+        return x
+    if high is not None:
+        kind = f"an integer in {low}..{high}"
+    else:
+        kind = {None: "an integer", 0: "a nonnegative integer",
+                1: "a positive integer"}.get(low, f"an integer >= {low}")
+    raise ValueError(f"{what} must be {kind}, got {x!r}")
 
 
 def partitions(n: int, max_part: int | None = None):
@@ -56,10 +72,8 @@ def compositions(total: int, max_parts: int):
 
 def list_multipartitions(m: int, n: int) -> list[tuple[tuple[int, ...], ...]]:
     """All m-tuples of partitions of total size n, in canonical order."""
-    if type(m) is not int or m < 1:
-        raise ValueError(f"component count must be a positive integer, got {m!r}")
-    if type(n) is not int or n < 0:
-        raise ValueError(f"size must be a nonnegative integer, got {n!r}")
+    check_int(m, "component count", 1)
+    check_int(n, "size", 0)
     return sorted(_multipartitions(m, n), reverse=True)
 
 
@@ -86,9 +100,9 @@ def mp_num_nonzero(mu) -> int:
     return sum(1 for comp in mu if comp)
 
 
-def check_multipartition(mu, m: int, n: int | None = None) -> tuple:
+def check_multipartition(mu, m: int) -> tuple:
     """``mu`` as a tuple of tuples, checked to have ``m`` components whose
-    parts are positive integers and, when ``n`` is given, size ``n``."""
+    parts are positive integers."""
     mu = tuple(map(tuple, mu))
     if len(mu) != m:
         raise ValueError(f"expected {m} components, got {len(mu)}")
@@ -96,8 +110,6 @@ def check_multipartition(mu, m: int, n: int | None = None) -> tuple:
         for p in comp:  # a plain loop: every evaluator call runs this
             if type(p) is not int or p < 1:
                 raise ValueError(f"parts must be positive integers, got {list(comp)}")
-    if n is not None and mp_size(mu) != n:
-        raise ValueError(f"multipartition size {mp_size(mu)} != n={n}")
     return mu
 
 
@@ -140,8 +152,7 @@ def list_graded_pairs(a: int, k, l) -> list[tuple]:
     these pairs without listing them; the single-hook slices sum this list
     pair by pair, and the tests check the dynamic program against it."""
     k, l = check_alphabet(k, l)
-    if type(a) is not int or a < 1:
-        raise ValueError(f"total size must be a positive integer, got {a!r}")
+    check_int(a, "total size", 1)
     m = len(k)
     return sorted((t[:m], t[m:]) for t in _bounded_compositions(k + l, a))
 

@@ -18,7 +18,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .combinat import (
-    check_alphabet, check_multipartition, list_graded_pairs, mp_length, mp_size,
+    check_alphabet, check_int, check_multipartition, list_graded_pairs, mp_length,
+    mp_size,
 )
 from .rings import CycloElem, MultiPoly, TruncSeries, expand_at_q1
 
@@ -41,23 +42,21 @@ __all__ = [
 
 @dataclass(frozen=True)
 class CharSpec:
-    """Shape of a character problem: color counts and an optional size."""
+    """Shape of a character problem: the color count and the letter counts."""
 
     m: int
     k: tuple[int, ...]
     l: tuple[int, ...]
-    n: int | None = None
 
     def __post_init__(self):
         k, l = check_alphabet(self.k, self.l)
+        check_int(self.m, "color count", 1)
         if len(k) != self.m:
             raise ValueError("k and l must both have length m")
         object.__setattr__(self, "k", k)
         object.__setattr__(self, "l", l)
         if sum(k) + sum(l) < 1:
             raise ValueError("need at least one letter overall")
-        if self.n is not None and self.n < 1:
-            raise ValueError("size must be positive when given")
 
     @classmethod
     def ones(cls, m: int) -> "CharSpec":
@@ -66,8 +65,7 @@ class CharSpec:
 
 def bracket(a: int, m: int = 0) -> MultiPoly:
     """The q-integer [a]_{-q}: the sum of (-q)**j for j < a."""
-    if a < 0:
-        raise ValueError("bracket argument must be nonnegative")
+    check_int(a, "bracket argument", 0)
     return MultiPoly(m, {(j,) + (0,) * m: (-1) ** j for j in range(a)})
 
 
@@ -133,10 +131,8 @@ def _theta(r: int, a: int, m: int, k, l) -> MultiPoly:
 def theta(r: int, a: int, spec: CharSpec) -> MultiPoly:
     """Trace contribution of one standard block of size ``a`` in color ``r``.
     The result is the caller's own copy of the cached value."""
-    if not 1 <= r <= spec.m:
-        raise ValueError(f"color {r} out of range 1..{spec.m}")
-    if a < 1:
-        raise ValueError("block size must be positive")
+    check_int(r, "color", 1, spec.m)
+    check_int(a, "block size", 1)
     cached = _theta(r, a, spec.m, spec.k, spec.l)
     return MultiPoly._raw(spec.m, dict(cached.terms))
 
@@ -144,7 +140,7 @@ def theta(r: int, a: int, spec: CharSpec) -> MultiPoly:
 def character_value(mu, spec: CharSpec) -> MultiPoly:
     """Closed-form character value of the standard element of ``mu``:
     the product of per-part block traces."""
-    mu = check_multipartition(mu, spec.m, spec.n)
+    mu = check_multipartition(mu, spec.m)
     return MultiPoly.product(spec.m, [
         _theta(r, part, spec.m, spec.k, spec.l)
         for r, comp in enumerate(mu, start=1)
@@ -169,7 +165,7 @@ def group_character_value(mu, spec: CharSpec) -> CycloElem:
     The block factors are multiplied as integer residues in Z[x]/(x**m - 1)
     and reduced mod Phi_m once at the end; that quotient map is a ring
     homomorphism, so the value is the same as reducing after every step."""
-    mu = check_multipartition(mu, spec.m, spec.n)
+    mu = check_multipartition(mu, spec.m)
     m = spec.m
     result = [1] + [0] * (m - 1)
     for r, comp in enumerate(mu, start=1):
@@ -190,8 +186,8 @@ def _slices(i: int, a: int) -> list[MultiPoly]:
     (entry 0 is zero).  One pass over the pairs for one even and one odd
     letter per color; a pair of length j and odd excess e adds
     (-q)**e (1-q)**(j-1) to its slice."""
-    if i < 1 or a < 1:
-        raise ValueError("need i >= 1 and a >= 1")
+    check_int(i, "last color", 1)
+    check_int(a, "block size", 1)
     counts: dict[tuple[int, int], int] = {}
     for alpha, beta in list_graded_pairs(a, (1,) * i, (1,) * i):
         if alpha[-1] or beta[-1]:
@@ -207,24 +203,20 @@ def _slices(i: int, a: int) -> list[MultiPoly]:
 def theta_j(j: int, i: int, a: int) -> MultiPoly:
     """Length-j slice of the single-hook block trace: one even and one odd
     letter per color, last occupied color fixed at ``i``."""
-    slices = _slices(i, a)
-    if not 1 <= j <= 2 * i:
-        raise ValueError(f"length {j} out of range 1..{2 * i}")
-    return slices[j]
+    return _slices(i, a)[check_int(j, "length", 1, 2 * i)]
 
 
 def theta1_closed(a: int) -> MultiPoly:
     """Length-1 slice in closed form: 1 + (-q)**(a-1)."""
-    if a < 1:
-        raise ValueError("need a >= 1")
+    check_int(a, "block size", 1)
     return MultiPoly.one(0) + _neg_q_power(a - 1, 0)
 
 
 def theta2_closed(i: int, a: int) -> MultiPoly:
     """Length-2 slice in closed form:
     (1-q) * ((i-1)(a-1)(1 + (-q)**(a-2)) + (2i-1) * [a-1]_{-q})."""
-    if i < 1 or a < 1:
-        raise ValueError("need i >= 1 and a >= 1")
+    check_int(i, "last color", 1)
+    check_int(a, "block size", 1)
     inner = MultiPoly.const((i - 1) * (a - 1), 0) * (
         MultiPoly.one(0) + _neg_q_power(a - 2, 0)
     )
@@ -241,7 +233,7 @@ def coef(a: int, i: int) -> MultiPoly:
 def coef_first_order(a: int, i: int) -> MultiPoly:
     """First-order model of ``coef``: 2[a]_{-q} + 2(i-1)a(1-q)[a-1]_{-q};
     exact for i = 1, and exact mod (1-q)^2 in general."""
-    return 2 * _hook_factor(a, i - 1, 0)
+    return 2 * _hook_factor(a, check_int(i, "last color", 1) - 1, 0)
 
 
 def hook_sum_rhs(mu, m: int) -> TruncSeries:

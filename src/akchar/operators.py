@@ -18,7 +18,9 @@ from __future__ import annotations
 import itertools
 from functools import lru_cache
 
-from .combinat import check_alphabet, check_multipartition, mp_size, word_hecke
+from .combinat import (
+    check_alphabet, check_int, check_multipartition, mp_size, word_hecke,
+)
 from .rings import MultiPoly
 
 __all__ = [
@@ -241,16 +243,11 @@ def _compile_word(word, n: int, alph: GradedAlphabet):
     for sym in symbols:
         tag = sym[0]
         if tag == "xi":
-            j, e = sym[1], sym[2]
-            if not 1 <= j <= n:
-                raise ValueError(f"position {j} out of range for n={n}")
-            if e < 1:
-                raise ValueError("color-scaling exponents must be positive")
+            j = check_int(sym[1], "position", 1, n)
+            e = check_int(sym[2], "color-scaling exponent", 1)
             steps.append(("diag", j - 1, alph._omega_factors(e), e))
         else:
-            i = sym[1]
-            if not 1 <= i <= n - 1:
-                raise ValueError(f"braid index {i} out of range for n={n}")
+            i = check_int(sym[1], "braid index", 1, n - 1)
             table = t_tab if tag == "g" else tinv_tab if tag == "ginv" else s_tab
             steps.append(("pair", i - 1, table, 0))
     steps.reverse()  # rightmost symbol acts first
@@ -467,8 +464,7 @@ def check_ak_presentation(n: int, k, l) -> list[dict]:
     """Verify the cyclotomic-generator presentation as operator identities on
     every basis word; failures are reported with a witness, never raised.
     The relations are listed as data and checked by ``_report``."""
-    if n < 1:
-        raise ValueError("need n >= 1")
+    check_int(n, "n", 1)
     alph = GradedAlphabet(k, l)
     roots = [alph.u_raw(c) for c in range(1, alph.m + 1)]
     relations = [("cyclotomic-g0", _annihilator((("g0",),), n, alph, roots), _zero)]
@@ -497,8 +493,7 @@ def check_shoji_presentation(n: int, k, l) -> list[dict]:
     Delta^2 as well.  Delta is nonzero in the integral domain Z[q^+-1, u],
     so dividing it out checks the same identity.
     """
-    if n < 2:
-        raise ValueError("need n >= 2")
+    check_int(n, "n", 2)
     alph = GradedAlphabet(k, l)
     m = alph.m
     roots = [alph.u_raw(c) for c in range(1, m + 1)]

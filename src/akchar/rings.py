@@ -13,6 +13,8 @@ from __future__ import annotations
 import math
 from functools import lru_cache
 
+from .combinat import check_int
+
 __all__ = [
     "MultiPoly",
     "CycloElem",
@@ -43,8 +45,7 @@ class _Ring:
         return other + (-self)
 
     def __pow__(self, e: int):
-        if not isinstance(e, int) or e < 0:
-            raise ValueError("only nonnegative integer powers are defined")
+        check_int(e, "power", 0)
         result = self._coerce(1)
         base = self
         while e:
@@ -86,17 +87,15 @@ class MultiPoly(_Ring):
     __slots__ = ("m", "terms", "_parts")
 
     def __init__(self, m: int, terms=None):
-        if m < 0:
-            raise ValueError("number of u-variables must be nonnegative")
+        check_int(m, "number of u-variables", 0)
         clean: dict[tuple[int, ...], int] = {}
         for key, coeff in (terms or {}).items():
-            if not isinstance(coeff, int):
-                raise ValueError(f"coefficient {coeff!r} is not an integer")
-            key = tuple(int(e) for e in key)
+            check_int(coeff, "coefficient")
             if len(key) != m + 1:
                 raise ValueError(f"exponent key {key} does not match m={m}")
-            if any(e < 0 for e in key[1:]):
-                raise ValueError(f"negative u-exponent in key {key}")
+            check_int(key[0], "q-exponent")
+            for e in key[1:]:
+                check_int(e, "u-exponent", 0)
             if coeff:
                 clean[key] = coeff
         self.m = m
@@ -116,8 +115,7 @@ class MultiPoly(_Ring):
 
     @classmethod
     def const(cls, value: int, m: int) -> "MultiPoly":
-        value = int(value)
-        if not value:
+        if not check_int(value, "constant"):
             return cls._raw(m, {})
         return cls._raw(m, {(0,) * (m + 1): value})
 
@@ -128,16 +126,13 @@ class MultiPoly(_Ring):
     @classmethod
     def q_power(cls, e: int, m: int) -> "MultiPoly":
         """The Laurent monomial q**e (e may be negative)."""
-        return cls._raw(m, {(int(e),) + (0,) * m: 1})
+        return cls._raw(m, {(check_int(e, "q-exponent"),) + (0,) * m: 1})
 
     @classmethod
     def u_power(cls, i: int, m: int, e: int = 1) -> "MultiPoly":
         """The monomial u_i**e for 1 <= i <= m, e >= 0."""
-        if not 1 <= i <= m:
-            raise ValueError(f"u-index {i} out of range for m={m}")
-        if e < 0:
-            raise ValueError("u-exponents may not be negative")
-        if e == 0:
+        check_int(i, "u-index", 1, m)
+        if not check_int(e, "u-exponent", 0):
             return cls.one(m)
         key = [0] * (m + 1)
         key[i] = e
@@ -308,15 +303,13 @@ class MultiPoly(_Ring):
 
     def embed(self, m_new: int) -> "MultiPoly":
         """Reinterpret in a ring with more u-variables (the extra ones unused)."""
-        if m_new < self.m:
-            raise ValueError("cannot embed into fewer variables")
+        check_int(m_new, "number of u-variables", self.m)
         pad = (0,) * (m_new - self.m)
         return MultiPoly._raw(m_new, {k + pad: c for k, c in self.terms.items()})
 
     def substitute_u_one(self, i: int) -> "MultiPoly":
         """Set u_i = 1, keeping the variable count (the slot goes unused)."""
-        if not 1 <= i <= self.m:
-            raise ValueError(f"u-index {i} out of range for m={self.m}")
+        check_int(i, "u-index", 1, self.m)
         out: dict[tuple[int, ...], int] = {}
         for key, coeff in self.terms.items():
             new_key = key[:i] + (0,) + key[i + 1:]
@@ -384,9 +377,7 @@ class MultiPoly(_Ring):
                 if base == "q":
                     key[0] += e
                 elif base.startswith("u") and base[1:].isdigit():
-                    i = int(base[1:])
-                    if not 1 <= i <= m:
-                        raise ValueError(f"u-index {i} out of range for m={m}")
+                    i = check_int(int(base[1:]), "u-index", 1, m)
                     if e < 0:
                         raise ValueError("negative u-exponent")
                     key[i] += e
@@ -418,27 +409,31 @@ class MultiPoly(_Ring):
             m = len(entries[0]["eu"])
         terms = {}
         for entry in entries:
-            key = (int(entry["eq"]),) + tuple(int(e) for e in entry["eu"])
-            terms[key] = terms.get(key, 0) + int(entry["c"])
+            # checked here: an exponent 1.0 would merge into the key of 1
+            key = tuple(check_int(e, "exponent") for e in (entry["eq"], *entry["eu"]))
+            terms[key] = terms.get(key, 0) + check_int(entry["c"], "coefficient")
         return cls(m, terms)
 
     def __repr__(self) -> str:
         return f"MultiPoly({self.to_text()!r}, m={self.m})"
 
 
-@lru_cache(maxsize=None)
 def cyclotomic_polynomial(m: int) -> tuple[int, ...]:
     """Coefficients of the m-th cyclotomic polynomial, constant term first.
 
     Computed by exact division of x**m - 1 by the cyclotomic polynomials of
-    the proper divisors of m.
+    the proper divisors of m.  The index is checked before the cache, which
+    would take ``True`` for a cached 1.
     """
-    if m < 1:
-        raise ValueError("cyclotomic index must be a positive integer")
+    return _cyclotomic(check_int(m, "cyclotomic index", 1))
+
+
+@lru_cache(maxsize=None)
+def _cyclotomic(m: int) -> tuple[int, ...]:
     poly = [-1] + [0] * (m - 1) + [1]
     for d in range(1, m):
         if m % d == 0:
-            poly = _poly_div_exact(poly, list(cyclotomic_polynomial(d)))
+            poly = _poly_div_exact(poly, list(_cyclotomic(d)))
     return tuple(poly)
 
 
@@ -470,8 +465,9 @@ def _poly_div_exact(num: list[int], den: list[int]) -> list[int]:
 
 def _cyclo_reduce(coeffs: list[int], m: int) -> tuple[int, ...]:
     # Remainder of an integer polynomial modulo the (monic) m-th cyclotomic
-    # polynomial; returned with fixed width = its degree.
-    phi_poly = cyclotomic_polynomial(m)
+    # polynomial, whose index ``m`` the caller has checked; returned with
+    # fixed width = its degree.
+    phi_poly = _cyclotomic(m)
     deg = len(phi_poly) - 1
     cs = list(coeffs)
     if len(cs) < deg:
@@ -494,10 +490,8 @@ class CycloElem(_Ring):
     __slots__ = ("m", "coeffs")
 
     def __init__(self, m: int, coeffs=()):
-        if m < 1:
-            raise ValueError("modulus must be a positive integer")
-        self.m = m
-        self.coeffs = _cyclo_reduce([int(c) for c in coeffs], m)
+        self.m = check_int(m, "modulus", 1)
+        self.coeffs = _cyclo_reduce([check_int(c, "coefficient") for c in coeffs], m)
 
     @classmethod
     def _raw(cls, m, coeffs):
@@ -513,9 +507,7 @@ class CycloElem(_Ring):
     @classmethod
     def x_power(cls, m: int, e: int) -> "CycloElem":
         """The class of x**e; exponents reduce mod m since x**m = 1."""
-        if e < 0:
-            raise ValueError("negative root powers are written as x**(m - e)")
-        e %= max(m, 1)
+        e = check_int(e, "x-exponent", 0) % check_int(m, "modulus", 1)
         return cls(m, (0,) * e + (1,))
 
     def _coerce(self, other):
@@ -556,7 +548,7 @@ class CycloElem(_Ring):
             if ai:
                 for j, bj in enumerate(b):
                     prod[i + j] += ai * bj
-        return CycloElem(self.m, prod)
+        return CycloElem._raw(self.m, _cyclo_reduce(prod, self.m))
 
     __rmul__ = __mul__
 
@@ -582,7 +574,7 @@ class CycloElem(_Ring):
 
     @classmethod
     def from_json(cls, obj: dict) -> "CycloElem":
-        return cls(int(obj["m"]), [int(c) for c in obj["coeffs"]])
+        return cls(obj["m"], obj["coeffs"])
 
     def __repr__(self) -> str:
         return f"CycloElem({self.to_text()!r}, m={self.m})"
@@ -597,8 +589,8 @@ class TruncSeries(_Ring):
     __slots__ = ("order", "m", "coeffs")
 
     def __init__(self, order: int, m: int, coeffs=()):
-        if order < 1:
-            raise ValueError("truncation order must be at least 1")
+        check_int(order, "truncation order", 1)
+        check_int(m, "number of u-variables", 0)
         coeffs = list(coeffs)
         if len(coeffs) > order:
             raise ValueError("more coefficients than the truncation order")
@@ -622,8 +614,7 @@ class TruncSeries(_Ring):
 
     @classmethod
     def t_power(cls, m: int, order: int, e: int = 1) -> "TruncSeries":
-        if e < 0:
-            raise ValueError("t-exponents are nonnegative")
+        check_int(e, "t-exponent", 0)
         coeffs = [MultiPoly.zero(m)] * min(e, order)
         if e < order:
             coeffs.append(MultiPoly.one(m))
@@ -736,8 +727,7 @@ def expand_at_q1(p: MultiPoly, order: int) -> TruncSeries:
 
     Negative q-powers expand through the geometric series.
     """
-    if order < 1:
-        raise ValueError("truncation order must be at least 1")
+    check_int(order, "truncation order", 1)
     raw = [dict() for _ in range(order)]
     series_cache: dict[int, tuple[int, ...]] = {}
     for key, coeff in p.terms.items():

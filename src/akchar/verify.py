@@ -221,6 +221,9 @@ def suite_hook_sum(max_n=None, m_only=None, n_only=None) -> SuiteResult:
     for n in _ns(1, 6, max_n, n_only):
         if m_only in (None, 1):
             cases.append(("exact-row", 1, (1,), ((n,),)))
+    # pinned value: the two-color single two-cycle expands to exactly 8t
+    if m_only in (None, 2) and n_only in (None, 2):
+        cases.append(("pinned-8t", 2, (1, 1), ((2,), ())))
 
     def check(case):
         kind, m, ones, mu = case
@@ -231,6 +234,11 @@ def suite_hook_sum(max_n=None, m_only=None, n_only=None) -> SuiteResult:
                 return {"check": kind, "mu": format_multipartition(mu),
                         "oracle": got.to_text(), "expected": want.to_text()}
             return None
+        if kind == "pinned-8t":
+            got = hook_sum_rhs(mu, m)
+            if got != 8 * TruncSeries.t_power(m, 2):
+                return {"check": kind, "got": got.to_text()}
+            return None
         got = expand_at_q1(char_value_oracle(mu, ones, ones), 2)
         want = hook_sum_rhs(mu, m)
         if got != want:
@@ -238,16 +246,7 @@ def suite_hook_sum(max_n=None, m_only=None, n_only=None) -> SuiteResult:
                     "oracle_mod_t2": got.to_text(), "hook_sum": want.to_text()}
         return None
 
-    result = _collect("hook-sum", cases, check)
-    # pinned value: the two-color single two-cycle expands to exactly 8t
-    if (m_only in (None, 2)) and (n_only in (None, 2)):
-        result.cases += 1
-        pinned = hook_sum_rhs(((2,), ()), 2)
-        if pinned != 8 * TruncSeries.t_power(2, 2):
-            result.failures.append(
-                {"check": "pinned-8t", "got": pinned.to_text()}
-            )
-    return result
+    return _collect("hook-sum", cases, check)
 
 
 def suite_wreath(max_n=None, m_only=None, n_only=None) -> SuiteResult:

@@ -5,9 +5,11 @@ import shlex
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
+from akchar import verify
 from akchar.cli import main
 
 
@@ -161,6 +163,49 @@ class TestHooks:
         assert out.splitlines()[-1] == "sum(s*f),4,4"
 
 
+def _plus_one(f):
+    return lambda *args: f(*args) + 1
+
+
+def _all_failing(checker):
+    return lambda *args: [dict(r, status="fail") for r in checker(*args)]
+
+
+# (suite, a name akchar.verify imports, a wrong stand-in built from the
+# original, the keys of the suite's report); one entry per report branch
+_INJECTED_FAULTS = [
+    ("oracle", "character_value", _plus_one,
+     {"mu", "k", "l", "closed_form", "oracle"}),
+    ("ak-relations", "check_ak_presentation", _all_failing,
+     {"n", "k", "l", "failed"}),
+    ("shoji-relations", "check_shoji_presentation", _all_failing,
+     {"n", "k", "l", "failed"}),
+    ("specialization", "group_character_value", _plus_one,
+     {"mu", "k", "l", "specialized_oracle", "group_formula"}),
+    ("theta-closed-forms", "theta1_closed", _plus_one,
+     {"slice", "i", "a", "enumerated", "closed"}),
+    ("theta-closed-forms", "theta2_closed", _plus_one,
+     {"slice", "i", "a", "enumerated", "closed"}),
+    ("coef", "bracket", _plus_one, {"check", "a", "coef", "expected"}),
+    ("coef", "coef_first_order", _plus_one,
+     {"check", "i", "a", "coef", "expected"}),
+    ("coef", "theta", _plus_one, {"check", "m", "r", "a", "sum", "theta"}),
+    ("hook-sum", "bracket", _plus_one, {"check", "mu", "oracle", "expected"}),
+    ("hook-sum", "hook_sum_rhs", _plus_one,
+     {"check", "m", "mu", "oracle_mod_t2", "hook_sum"}),
+    ("hook-sum", "TruncSeries",
+     lambda cls: SimpleNamespace(t_power=_plus_one(cls.t_power)), {"check", "got"}),
+    ("wreath", "wreath_hook_value", _plus_one,
+     {"m", "mu", "specialized", "wreath"}),
+    ("dimension-identity", "count_standard_multitableaux", _plus_one,
+     {"check", "k", "l", "n", "sum", "expected"}),
+    ("dimension-identity", "list_hook_multipartitions", lambda f: lambda *args: [],
+     {"check", "mu", "k", "l", "count"}),
+    ("dimension-identity", "mp_num_nonzero", _plus_one,
+     {"check", "mu", "count", "expected"}),
+]
+
+
 class TestVerify:
     def test_small_oracle_sweep(self, capsys):
         code, out, _ = run_cli(
@@ -225,6 +270,21 @@ class TestVerify:
         doc = json.loads(out)
         assert doc["ok"] is True
         assert doc["suites"][0]["name"] == "theta-closed-forms"
+
+    @pytest.mark.parametrize("suite, name, wrong, keys", _INJECTED_FAULTS,
+                             ids=[f"{s}-{n}" for s, n, _, _ in _INJECTED_FAULTS])
+    def test_failure_report(self, capsys, monkeypatch, suite, name, wrong, keys):
+        # a wrong value from what a suite compares must reach its report
+        monkeypatch.setattr(verify, name, wrong(getattr(verify, name)))
+        argv = ("verify", "--suite", suite, "--max-n", "2")
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 1 and f"suite {suite}: " in out and "[FAIL]" in out
+        [line] = [x for x in out.splitlines() if x.startswith("  counterexample: ")]
+        assert set(json.loads(line.removeprefix("  counterexample: "))) == keys
+        code, out, _ = run_cli(capsys, *argv, "--format", "json")
+        assert code == 1 and '"ok": false' in out
+        [report] = json.loads(out)["suites"]
+        assert set(report["failures"][0]) == keys
 
 
 class TestComparePair:

@@ -3,6 +3,7 @@ import itertools
 import pytest
 
 from akchar.combinat import (
+    check_int,
     compositions,
     count_semistandard,
     count_standard_multitableaux,
@@ -16,8 +17,30 @@ from akchar.combinat import (
     parse_multipartition,
     word_hecke,
 )
-from akchar.formulas import CharSpec
-from akchar.operators import GradedAlphabet, char_value_oracle
+from akchar.formulas import (
+    CharSpec,
+    bracket,
+    coef,
+    coef_first_order,
+    theta,
+    theta1_closed,
+    theta2_closed,
+    theta_j,
+)
+from akchar.operators import (
+    GradedAlphabet,
+    char_value_oracle,
+    check_ak_presentation,
+    check_shoji_presentation,
+    trace_of_word,
+)
+from akchar.rings import (
+    CycloElem,
+    MultiPoly,
+    TruncSeries,
+    cyclotomic_polynomial,
+    expand_at_q1,
+)
 
 
 def partition_count(n):
@@ -281,6 +304,91 @@ def test_sizes_checked_at_every_enumerator(build, size):
     # the recursion, and True must not pass as the size 1
     with pytest.raises(ValueError, match="must be a (positive|nonnegative) integer"):
         build(size)
+
+
+def test_check_int_names_the_argument_and_its_bounds():
+    assert check_int(3, "size", 1, 3) == 3
+    assert check_int(-7, "q-exponent") == -7
+    for args, message in [
+        ((0, "size", 1), "size must be a positive integer, got 0"),
+        ((-1, "size", 0), "size must be a nonnegative integer, got -1"),
+        ((1, "n", 2), "n must be an integer >= 2, got 1"),
+        ((4, "color", 1, 3), "color must be an integer in 1..3, got 4"),
+        ((2.0, "exponent"), "exponent must be an integer, got 2.0"),
+        ((False, "exponent"), "exponent must be an integer, got False"),
+    ]:
+        with pytest.raises(ValueError) as info:
+            check_int(*args)
+        assert str(info.value) == message
+
+
+_SPEC1 = CharSpec(1, (1,), (1,))
+_ALPH1 = GradedAlphabet((1,), (1,))
+
+# every scalar integer argument outside the enumerators above, one entry
+# point per argument
+_SCALAR_ENTRY_POINTS = {
+    "CharSpec-m": lambda x: CharSpec(x, (1,), (1,)),
+    "bracket": bracket,
+    "theta-r": lambda x: theta(x, 1, _SPEC1),
+    "theta-a": lambda x: theta(1, x, _SPEC1),
+    "theta_j-j": lambda x: theta_j(x, 1, 2),
+    "theta_j-i": lambda x: theta_j(1, x, 2),
+    "theta_j-a": lambda x: theta_j(1, 1, x),
+    "theta1_closed": theta1_closed,
+    "theta2_closed-i": lambda x: theta2_closed(x, 2),
+    "theta2_closed-a": lambda x: theta2_closed(1, x),
+    "coef-a": lambda x: coef(x, 1),
+    "coef-i": lambda x: coef(1, x),
+    "coef_first_order-a": lambda x: coef_first_order(x, 1),
+    "coef_first_order-i": lambda x: coef_first_order(1, x),
+    "trace-xi-position": lambda x: trace_of_word((("xi", x, 1),), 1, _ALPH1),
+    "trace-xi-exponent": lambda x: trace_of_word((("xi", 1, x),), 1, _ALPH1),
+    "trace-g-index": lambda x: trace_of_word((("g", x),), 2, _ALPH1),
+    "check_ak_presentation": lambda x: check_ak_presentation(x, (1,), (1,)),
+    "check_shoji_presentation": lambda x: check_shoji_presentation(x, (1,), (1,)),
+    "pow": lambda x: MultiPoly.one(1) ** x,
+    "MultiPoly-m": MultiPoly,
+    "MultiPoly-q-exponent": lambda x: MultiPoly(1, {(x, 0): 1}),
+    "MultiPoly-u-exponent": lambda x: MultiPoly(1, {(0, x): 1}),
+    "MultiPoly-coefficient": lambda x: MultiPoly(1, {(0, 0): x}),
+    "const": lambda x: MultiPoly.const(x, 1),
+    "q_power": lambda x: MultiPoly.q_power(x, 1),
+    "u_power-i": lambda x: MultiPoly.u_power(x, 1),
+    "u_power-e": lambda x: MultiPoly.u_power(1, 1, x),
+    "substitute_u_one": lambda x: MultiPoly.one(1).substitute_u_one(x),
+    "embed": lambda x: MultiPoly.one(1).embed(x),
+    "MultiPoly.from_json-c": lambda x: MultiPoly.from_json(
+        {"terms": [{"c": x, "eq": 0, "eu": [0]}]}),
+    "MultiPoly.from_json-eq": lambda x: MultiPoly.from_json(
+        {"terms": [{"c": 1, "eq": x, "eu": [0]}]}),
+    "MultiPoly.from_json-eu": lambda x: MultiPoly.from_json(
+        {"terms": [{"c": 1, "eq": 0, "eu": [x]}]}),
+    # the cache behind cyclotomic_polynomial would take True for a cached 1
+    "cyclotomic_polynomial": lambda x: (cyclotomic_polynomial(1),
+                                        cyclotomic_polynomial(x)),
+    "CycloElem-m": CycloElem,
+    "CycloElem-coefficient": lambda x: CycloElem(3, (x,)),
+    "x_power-m": lambda x: CycloElem.x_power(x, 1),
+    "x_power-e": lambda x: CycloElem.x_power(2, x),
+    "CycloElem.from_json-m": lambda x: CycloElem.from_json({"m": x, "coeffs": [1]}),
+    "CycloElem.from_json-coeffs": lambda x: CycloElem.from_json(
+        {"m": 2, "coeffs": [x]}),
+    "TruncSeries-order": lambda x: TruncSeries(x, 1),
+    "TruncSeries-m": lambda x: TruncSeries(2, x),
+    "t_power": lambda x: TruncSeries.t_power(1, 2, x),
+    "expand_at_q1": lambda x: expand_at_q1(MultiPoly.one(1), x),
+}
+
+
+@pytest.mark.parametrize("value", [1.5, True], ids=["fractional", "bool"])
+@pytest.mark.parametrize("build", list(_SCALAR_ENTRY_POINTS.values()),
+                         ids=list(_SCALAR_ENTRY_POINTS))
+def test_scalar_arguments_checked_at_every_entry_point(build, value):
+    # 1.5 used to be truncated, stored, or turned into a TypeError, and True
+    # to pass as 1; check_int is the one check for all of them
+    with pytest.raises(ValueError, match="must be an? (positive |nonnegative )?integer"):
+        build(value)
 
 
 @pytest.mark.parametrize("mu", [((2, 0), ()), ((3, -1), (1,)), ((), (1.5,))])

@@ -138,10 +138,6 @@ class TestCharacterValue:
         spec = CharSpec(2, (1, 1), (0, 0))
         assert character_value(((1,), (1,)), spec) == mp("2*u1 + 2*u2", 2)
 
-    def test_size_checked(self):
-        with pytest.raises(ValueError):
-            character_value(((1,),), CharSpec(1, (1,), (1,), n=2))
-
     def test_cost_does_not_grow_with_letter_counts(self):
         # a block of size a has at most a parts per slot, so the cost must be
         # bounded by the block size, not by the letter counts
