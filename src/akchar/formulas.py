@@ -21,7 +21,7 @@ from .combinat import (
     check_alphabet, check_int, check_multipartition, list_graded_pairs, mp_length,
     mp_size,
 )
-from .rings import CycloElem, MultiPoly, TruncSeries, expand_at_q1
+from .rings import CycloElem, MultiPoly, TruncSeries, _cyclo_reduce, expand_at_q1
 
 __all__ = [
     "CharSpec",
@@ -177,7 +177,7 @@ def group_character_value(mu, spec: CharSpec) -> CycloElem:
                     for j, b in enumerate(factor):
                         prod[(i + j) % m] += a * b
             result = prod
-    return CycloElem(m, result)
+    return CycloElem._raw(m, _cyclo_reduce(result, m))
 
 
 def _slices(i: int, a: int) -> list[MultiPoly]:

@@ -5,8 +5,13 @@ symbol by symbol (rightmost symbol first) to each basis vector, with sparse
 accumulation of output coefficients; each quantum-swap symbol branches a
 basis word into at most two words.  Coefficients travel through the hot loop
 as plain dicts keyed by packed integer exponents and are converted to
-``MultiPoly`` at the boundary.  Each presentation check lists its relations
-as data, a name and two sides, and one loop checks them on every basis word.
+``MultiPoly`` at the boundary.  Each swap-table entry is a tuple of monomial
+terms ``(new letter pair, key, integer coefficient)``, and a color scaling
+carries one key shift per letter.  So every step, the trace sum and the
+presentation checks share one in-place accumulate,
+``acc += coeff * monomial(key) * c``, which never stores a zero.  Each
+presentation check lists its relations as data, a name and two sides, and
+one loop checks them on every basis word.
 
 The key of ``q^e u_1^a_1 ... u_m^a_m`` is ``(e << 8m) + sum a_i << 8(i-1)``:
 each u-exponent has an 8-bit field and q the signed top field, so the unit
@@ -46,7 +51,7 @@ class GradedAlphabet:
 
     __slots__ = (
         "k", "l", "m", "size", "colors", "parities",
-        "_shift", "_tables", "_omega_cache",
+        "_shift", "_tables",
     )
 
     def __init__(self, k, l):
@@ -66,7 +71,6 @@ class GradedAlphabet:
         self.parities = tuple(parities)
         self._shift = _FIELD_BITS * self.m
         self._tables = None
-        self._omega_cache: dict[int, tuple] = {}
 
     # -- packed-exponent helpers --------------------------------------
 
@@ -91,33 +95,20 @@ class GradedAlphabet:
     def poly_from_raw(self, raw: dict[int, int]) -> MultiPoly:
         return MultiPoly._raw(self.m, {self._decode(k): c for k, c in raw.items()})
 
-    def u_raw(self, color: int, e: int = 1) -> dict[int, int]:
-        return {e << (_FIELD_BITS * (color - 1)): 1}
+    def _u_key(self, color: int, e: int = 1) -> int:
+        return e << (_FIELD_BITS * (color - 1))
 
-    def _omega_factors(self, e: int):
-        # per-letter diagonal factors for a color scaling of power e
-        cached = self._omega_cache.get(e)
-        if cached is None:
-            cached = (None,) + tuple(
-                self.u_raw(self.colors[letter], e)
-                for letter in range(1, self.size + 1)
-            )
-            self._omega_cache[e] = cached
-        return cached
+    def _omega_shifts(self, e: int) -> tuple:
+        # per-letter key shifts of a color scaling of power e
+        return (None,) + tuple(
+            self._u_key(self.colors[letter], e) for letter in range(1, self.size + 1)
+        )
 
     def _ensure_tables(self):
         if self._tables is not None:
             return self._tables
-        qk = self._encode(1, ())
-        qik = self._encode(-1, ())
-        p_one = {0: 1}
-        p_neg_one = {0: -1}
-        p_one_minus_q = {0: 1, qk: -1}
-        p_q = {qk: 1}
-        p_neg_q = {qk: -1}
-        p_qinv = {qik: 1}
-        p_neg_qinv = {qik: -1}
-        p_one_minus_qinv = {0: 1, qik: -1}
+        q = self._encode(1, ())
+        qinv = self._encode(-1, ())
         K = self.size
         t_tab = [None] * (K + 1)
         tinv_tab = [None] * (K + 1)
@@ -127,24 +118,20 @@ class GradedAlphabet:
             tinv_row = [None] * (K + 1)
             s_row = [None] * (K + 1)
             for b in range(1, K + 1):
-                sign = p_neg_one if self.parities[a] and self.parities[b] else p_one
-                sign_q = p_neg_q if sign is p_neg_one else p_q
-                sign_qinv = p_neg_qinv if sign is p_neg_one else p_qinv
+                sign = -1 if self.parities[a] and self.parities[b] else 1
                 if a < b:
                     # ascending swap is q-free; the descending swap carries q,
                     # which is what makes T^2 = (1-q)T + q and T T^-1 = 1 hold
-                    t_entry = (((a, b), p_one_minus_q), ((b, a), sign))
-                    tinv_entry = (((b, a), sign_qinv),)
+                    t_entry = (((a, b), 0, 1), ((a, b), q, -1), ((b, a), 0, sign))
+                    tinv_entry = (((b, a), qinv, sign),)
                 elif a == b:
-                    diag = p_neg_q if self.parities[a] else p_one
-                    diag_inv = p_neg_qinv if self.parities[a] else p_one
-                    t_entry = (((a, a), diag),)
-                    tinv_entry = (((a, a), diag_inv),)
+                    # -q and -q^-1 on an odd letter, 1 on an even one
+                    t_entry = (((a, a), q if sign < 0 else 0, sign),)
+                    tinv_entry = (((a, a), qinv if sign < 0 else 0, sign),)
                 else:
-                    t_entry = (((b, a), sign_q),)
+                    t_entry = (((b, a), q, sign),)
                     tinv_entry = (
-                        ((a, b), p_one_minus_qinv),
-                        ((b, a), sign),
+                        ((a, b), 0, 1), ((a, b), qinv, -1), ((b, a), 0, sign),
                     )
                 if self.colors[a] == self.colors[b]:
                     s_entry = t_entry
@@ -153,7 +140,7 @@ class GradedAlphabet:
                     # descending branch keeps the same q as T, which is what
                     # gives the composite cyclotomic generator eigenvalues
                     # u_1, ..., u_m
-                    s_entry = (((b, a), sign if a < b else sign_q),)
+                    s_entry = (((b, a), 0 if a < b else q, sign),)
                 t_row[b] = t_entry
                 tinv_row[b] = tinv_entry
                 s_row[b] = s_entry
@@ -169,42 +156,25 @@ class GradedAlphabet:
 
 # -- raw coefficient helpers ------------------------------------------------
 
-def _pmul(a: dict, b: dict) -> dict:
-    if len(a) < len(b):
-        a, b = b, a
-    out: dict[int, int] = {}
-    for kb, vb in b.items():
-        for ka, va in a.items():
-            key = ka + kb
-            new = out.get(key, 0) + va * vb
-            if new:
-                out[key] = new
-            elif key in out:
-                del out[key]
-    return out
-
-
-def _padd_into(acc: dict, p: dict) -> None:
-    for key, value in p.items():
-        new = acc.get(key, 0) + value
+def _accumulate(acc: dict, c: dict, key: int, coeff: int) -> None:
+    """``acc += coeff * monomial(key) * c`` in place; no zero is stored."""
+    for k, v in c.items():
+        k += key
+        new = acc.get(k, 0) + coeff * v
         if new:
-            acc[key] = new
-        elif key in acc:
-            del acc[key]
+            acc[k] = new
+        elif k in acc:
+            del acc[k]
 
 
-def _state_add(a: dict, b: dict, factor: dict) -> dict:
-    """The raw state ``a + factor*b``."""
+def _state_add(a: dict, b: dict, key: int, coeff: int) -> dict:
+    """The raw state ``a + coeff * monomial(key) * b``."""
     out = {w: dict(c) for w, c in a.items()}
     for w, c in b.items():
-        prod = _pmul(c, factor)
-        acc = out.get(w)
-        if acc is None:
-            out[w] = prod
-        else:
-            _padd_into(acc, prod)
-            if not acc:
-                del out[w]
+        acc = out.setdefault(w, {})
+        _accumulate(acc, c, key, coeff)
+        if not acc:
+            del out[w]
     return out
 
 
@@ -245,7 +215,7 @@ def _compile_word(word, n: int, alph: GradedAlphabet):
         if tag == "xi":
             j = check_int(sym[1], "position", 1, n)
             e = check_int(sym[2], "color-scaling exponent", 1)
-            steps.append(("diag", j - 1, alph._omega_factors(e), e))
+            steps.append(("diag", j - 1, alph._omega_shifts(e), e))
         else:
             i = check_int(sym[1], "braid index", 1, n - 1)
             table = t_tab if tag == "g" else tinv_tab if tag == "ginv" else s_tab
@@ -269,32 +239,23 @@ def _check_reach(steps, eu_max: int) -> None:
 
 
 def _apply_steps(state: dict, steps) -> dict:
-    for step in steps:
+    for kind, pos, table, _ in steps:
         if not state:
             break
-        kind = step[0]
-        pos = step[1]
+        new = {}
         if kind == "diag":
-            factors = step[2]
-            new = {}
             for w, c in state.items():
-                new[w] = _pmul(c, factors[w[pos]])
-            state = new
+                new[w] = acc = {}
+                _accumulate(acc, c, table[w[pos]], 1)
         else:
-            table = step[2]
-            new = {}
             for w, c in state.items():
-                for (x, y), f in table[w[pos]][w[pos + 1]]:
+                for (x, y), key, coeff in table[w[pos]][w[pos + 1]]:
                     w2 = w[:pos] + (x, y) + w[pos + 2:]
-                    prod = _pmul(c, f)
-                    acc = new.get(w2)
-                    if acc is None:
-                        new[w2] = prod
-                    else:
-                        _padd_into(acc, prod)
-                        if not acc:
-                            del new[w2]
-            state = new
+                    acc = new.setdefault(w2, {})
+                    _accumulate(acc, c, key, coeff)
+                    if not acc:
+                        del new[w2]
+        state = new
     return state
 
 
@@ -361,7 +322,7 @@ def trace_of_word(word, n: int, alphabet: GradedAlphabet) -> MultiPoly:
         state = _apply_steps({basis: {0: 1}}, steps)
         diag = state.get(basis)
         if diag:
-            _padd_into(total, diag)
+            _accumulate(total, diag, 0, 1)
     return alphabet.poly_from_raw(total)
 
 
@@ -418,16 +379,15 @@ def _report(alph, n, relations) -> list[dict]:
 
 
 def _annihilator(word, n, alph, roots):
-    """Basis word -> the product of (X - r) over the raw ``roots`` applied to
-    it, where X acts by ``word``; zero on every word when that polynomial
-    annihilates X."""
+    """Basis word -> the product of (X - r) over the ``roots`` applied to it,
+    where X acts by ``word`` and each root is a monomial ``(key, coeff)``;
+    zero on every word when that polynomial annihilates X."""
     steps = _compile_word(word, n, alph)
-    negated = [{key: -c for key, c in r.items()} for r in roots]
 
     def lhs(basis):
         state = {basis: {0: 1}}
-        for r in negated:
-            state = _state_add(_apply_steps(state, steps), state, r)
+        for key, coeff in roots:
+            state = _state_add(_apply_steps(state, steps), state, key, -coeff)
         return state
 
     return lhs
@@ -441,7 +401,7 @@ def _exchange(word, n, alph, j, corr, sign):
     def rhs(basis):
         factor = corr.get((alph.colors[basis[j - 1]], alph.colors[basis[j]]))
         state = run(basis)
-        return _state_add(state, {basis: factor}, {0: sign}) if factor else state
+        return _state_add(state, {basis: factor}, 0, sign) if factor else state
 
     return rhs
 
@@ -449,7 +409,7 @@ def _exchange(word, n, alph, j, corr, sign):
 def _hecke_relations(alph, n):
     """The quadratic, far-commutation and braid relations of g_1..g_{n-1};
     the quadratic one as (T - 1)(T + q) = 0, that is T^2 = (1-q)T + q."""
-    roots = ({0: 1}, {alph._encode(1, ()): -1})
+    roots = ((0, 1), (alph._encode(1, ()), -1))
     for i in range(1, n):
         yield f"quadratic-g{i}", _annihilator((("g", i),), n, alph, roots), _zero
     for i in range(1, n):
@@ -466,7 +426,7 @@ def check_ak_presentation(n: int, k, l) -> list[dict]:
     The relations are listed as data and checked by ``_report``."""
     check_int(n, "n", 1)
     alph = GradedAlphabet(k, l)
-    roots = [alph.u_raw(c) for c in range(1, alph.m + 1)]
+    roots = [(alph._u_key(c), 1) for c in range(1, alph.m + 1)]
     relations = [("cyclotomic-g0", _annihilator((("g0",),), n, alph, roots), _zero)]
     if n >= 2:
         relations.append(("braid-g0-g1", (("g0",), ("g", 1), ("g0",), ("g", 1)),
@@ -496,7 +456,7 @@ def check_shoji_presentation(n: int, k, l) -> list[dict]:
     check_int(n, "n", 2)
     alph = GradedAlphabet(k, l)
     m = alph.m
-    roots = [alph.u_raw(c) for c in range(1, m + 1)]
+    roots = [(alph._u_key(c), 1) for c in range(1, m + 1)]
     # u_c - u_d scaled by 1 - q, for the colors c < d of two adjacent letters
     one_minus_q = MultiPoly.one(m) - MultiPoly.q_power(1, m)
     corr = {

@@ -111,10 +111,11 @@ class MultiPoly(_Ring):
 
     @classmethod
     def zero(cls, m: int) -> "MultiPoly":
-        return cls._raw(m, {})
+        return cls._raw(check_int(m, "number of u-variables", 0), {})
 
     @classmethod
     def const(cls, value: int, m: int) -> "MultiPoly":
+        check_int(m, "number of u-variables", 0)
         if not check_int(value, "constant"):
             return cls._raw(m, {})
         return cls._raw(m, {(0,) * (m + 1): value})
@@ -126,11 +127,13 @@ class MultiPoly(_Ring):
     @classmethod
     def q_power(cls, e: int, m: int) -> "MultiPoly":
         """The Laurent monomial q**e (e may be negative)."""
+        check_int(m, "number of u-variables", 0)
         return cls._raw(m, {(check_int(e, "q-exponent"),) + (0,) * m: 1})
 
     @classmethod
     def u_power(cls, i: int, m: int, e: int = 1) -> "MultiPoly":
         """The monomial u_i**e for 1 <= i <= m, e >= 0."""
+        check_int(m, "number of u-variables", 0)
         check_int(i, "u-index", 1, m)
         if not check_int(e, "u-exponent", 0):
             return cls.one(m)
@@ -341,6 +344,7 @@ class MultiPoly(_Ring):
     @classmethod
     def from_text(cls, text: str, m: int) -> "MultiPoly":
         """Parse the canonical text form back into a polynomial."""
+        check_int(m, "number of u-variables", 0)
         s = text.replace(" ", "")
         if not s:
             raise ValueError("empty polynomial text")
@@ -703,13 +707,14 @@ def specialize_to_group(p: MultiPoly, m: int) -> CycloElem:
 
     The polynomial must live over exactly m u-variables.
     """
+    check_int(m, "modulus", 1)
     if p.m != m:
         raise ValueError(f"u-variable count mismatch: polynomial has {p.m}, modulus {m}")
     acc = [0] * m
     for key, coeff in p.terms.items():
         e = sum((i - 1) * key[i] for i in range(1, m + 1)) % m
         acc[e] += coeff
-    return CycloElem(m, acc)
+    return CycloElem._raw(m, _cyclo_reduce(acc, m))
 
 
 def _binomial_series(e: int, order: int) -> tuple[int, ...]:

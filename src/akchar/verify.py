@@ -150,8 +150,7 @@ def suite_specialization(max_n=None, m_only=None, n_only=None) -> SuiteResult:
 
 def suite_theta_closed_forms(max_n=None, m_only=None, n_only=None) -> SuiteResult:
     """Enumerated length slices versus the two closed forms."""
-    a_hi = max_n if max_n is not None else 8
-    cases = [(i, a) for i in (1, 2, 3) for a in range(1, a_hi + 1)]
+    cases = [(i, a) for i in _ms((1, 2, 3), m_only) for a in _ns(1, 8, max_n, n_only)]
 
     def check(case):
         i, a = case
@@ -171,14 +170,15 @@ def suite_theta_closed_forms(max_n=None, m_only=None, n_only=None) -> SuiteResul
 def suite_coef(max_n=None, m_only=None, n_only=None) -> SuiteResult:
     """Single-hook coefficient identities: the exact first-color value, the
     first-order expansion, and reassembly into the block trace."""
-    a_hi = max_n if max_n is not None else 8
-    cases = [("exact", 1, a) for a in range(1, a_hi + 1)]
-    cases += [("first-order", i, a) for i in (1, 2, 3) for a in range(1, a_hi + 1)]
+    sizes = _ns(1, 8, max_n, n_only)
+    cases = [("exact", 1, a) for a in sizes if m_only in (None, 1)]
+    cases += [("first-order", i, a) for i in _ms((1, 2, 3), m_only) for a in sizes]
     cases += [
         ("reassembly", m, (r, a))
         for m in _ms((1, 2, 3), m_only)
         for r in range(1, m + 1)
-        for a in range(1, min(a_hi, 5) + 1)
+        for a in sizes
+        if a <= 5
     ]
 
     def check(case):

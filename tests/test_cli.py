@@ -244,13 +244,26 @@ class TestVerify:
         assert "0 failures [pass]" in out and " 0 cases" not in out
 
     def test_empty_suite_is_not_a_pass(self, capsys):
-        # --m 5 is outside every grid but those of theta-closed-forms and coef
-        code, out, _ = run_cli(capsys, "verify", "--m", "5")
+        # n = 5 is beyond the oracle, presentation and specialization grids
+        code, out, _ = run_cli(capsys, "verify", "--m", "1", "--n", "5")
         assert code == 0
         lines = out.splitlines()
         assert "suite oracle: 0 cases, 0 failures [empty]" in lines
-        assert "suite coef: 32 cases, 0 failures [pass]" in lines
+        assert "suite coef: 3 cases, 0 failures [pass]" in lines
         assert not any(" 0 cases" in line and "[pass]" in line for line in lines)
+
+    @pytest.mark.parametrize("argv, line", [
+        (("--suite", "coef", "--n", "3"), "suite coef: 10 cases"),
+        (("--suite", "theta-closed-forms", "--n", "3"),
+         "suite theta-closed-forms: 3 cases"),
+        (("--suite", "coef", "--m", "2"), "suite coef: 18 cases"),
+    ], ids=["coef-n", "theta-n", "coef-m"])
+    def test_single_hook_suites_apply_filters(self, capsys, argv, line):
+        # --n picks the block size a and --m the index i, or m in reassembly;
+        # these suites used to ignore both and run 62, 24 and 32 cases
+        code, out, _ = run_cli(capsys, "verify", *argv)
+        assert code == 0
+        assert out.startswith(line + ", 0 failures [pass]")
 
     @pytest.mark.parametrize("argv", [
         ("--suite", "oracle", "--n", "9"),

@@ -40,6 +40,7 @@ from akchar.rings import (
     TruncSeries,
     cyclotomic_polynomial,
     expand_at_q1,
+    specialize_to_group,
 )
 
 
@@ -352,10 +353,16 @@ _SCALAR_ENTRY_POINTS = {
     "MultiPoly-q-exponent": lambda x: MultiPoly(1, {(x, 0): 1}),
     "MultiPoly-u-exponent": lambda x: MultiPoly(1, {(0, x): 1}),
     "MultiPoly-coefficient": lambda x: MultiPoly(1, {(0, 0): x}),
+    "zero-m": MultiPoly.zero,
     "const": lambda x: MultiPoly.const(x, 1),
+    "const-m": lambda x: MultiPoly.const(1, x),
+    "one-m": MultiPoly.one,
     "q_power": lambda x: MultiPoly.q_power(x, 1),
+    "q_power-m": lambda x: MultiPoly.q_power(1, x),
     "u_power-i": lambda x: MultiPoly.u_power(x, 1),
     "u_power-e": lambda x: MultiPoly.u_power(1, 1, x),
+    "u_power-m": lambda x: MultiPoly.u_power(1, x),
+    "from_text-m": lambda x: MultiPoly.from_text("q", x),
     "substitute_u_one": lambda x: MultiPoly.one(1).substitute_u_one(x),
     "embed": lambda x: MultiPoly.one(1).embed(x),
     "MultiPoly.from_json-c": lambda x: MultiPoly.from_json(
@@ -369,6 +376,7 @@ _SCALAR_ENTRY_POINTS = {
                                         cyclotomic_polynomial(x)),
     "CycloElem-m": CycloElem,
     "CycloElem-coefficient": lambda x: CycloElem(3, (x,)),
+    "specialize_to_group-m": lambda x: specialize_to_group(MultiPoly.one(1), x),
     "x_power-m": lambda x: CycloElem.x_power(x, 1),
     "x_power-e": lambda x: CycloElem.x_power(2, x),
     "CycloElem.from_json-m": lambda x: CycloElem.from_json({"m": x, "coeffs": [1]}),

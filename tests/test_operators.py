@@ -10,7 +10,9 @@ from akchar.formulas import CharSpec, group_character_value
 from akchar.operators import (
     GradedAlphabet,
     TensorState,
-    _pmul,
+    _accumulate,
+    _apply_steps,
+    _compile_word,
     apply_generator,
     char_value_oracle,
     check_ak_presentation,
@@ -105,7 +107,10 @@ def test_packed_product_matches_multipoly(pair):
             with pytest.raises(ValueError):
                 alph.poly_to_raw(p)
     if _fits(a) and _fits(b) and _fits(product):
-        raw = _pmul(alph.poly_to_raw(a), alph.poly_to_raw(b))
+        # a * b as one accumulate per monomial term of b
+        raw, raw_a = {}, alph.poly_to_raw(a)
+        for key, c in alph.poly_to_raw(b).items():
+            _accumulate(raw, raw_a, key, c)
         assert alph.poly_from_raw(raw) == product
 
 
@@ -224,6 +229,16 @@ def test_words_match_multipoly_reference(case):
         state = apply_generator(sym, state, alph)
         expected = _reference_apply(sym, expected, alph, alph.m)
         assert state == TensorState(state.n, expected), sym
+
+
+def test_raw_state_keeps_no_cancelled_word():
+    # the presentation checks compare raw states with !=, so an empty
+    # coefficient dict left under a word would read as a difference; on
+    # every ascending pair two branches of the T^-1 step cancel
+    alph = GradedAlphabet((1, 1), (1, 0))
+    steps = _compile_word((("ginv", 1), ("g", 1)), 2, alph)
+    for w in itertools.product(range(1, alph.size + 1), repeat=2):
+        assert _apply_steps({w: {0: 1}}, steps) == {w: {0: 1}}, w
 
 
 class TestApplyGenerator:
@@ -493,7 +508,7 @@ class TestPresentations:
         # there breaks the quadratic relation, first on (2, 2)
         def flip_odd_diagonal(alph, tables):
             for a in (2, 3):
-                tables[0][a][a] = (((a, a), alph.poly_to_raw(mp("q", 1))),)
+                tables[0][a][a] = (((a, a), alph._encode(1, ()), 1),)
             return tables
 
         _break(monkeypatch, "_ensure_tables", flip_odd_diagonal)
@@ -506,10 +521,10 @@ class TestPresentations:
     def test_broken_color_scaling_names_first_witness(self, monkeypatch):
         # letter 2 has color 2; scaling it by u2^(e+1) instead of u2^e breaks
         # the cyclotomic relation of xi_j on the first word with 2 at j
-        def overscale_letter_2(alph, factors, e):
-            return factors[:2] + (alph.poly_to_raw(MultiPoly.u_power(2, 2, e + 1)),)
+        def overscale_letter_2(alph, shifts, e):
+            return shifts[:2] + (alph._encode(0, (0, e + 1)),)
 
-        _break(monkeypatch, "_omega_factors", overscale_letter_2)
+        _break(monkeypatch, "_omega_shifts", overscale_letter_2)
         report = check_shoji_presentation(2, (1, 1), (0, 0))
         assert _entry(report, "cyclotomic-xi1") == {
             "relation": "cyclotomic-xi1", "status": "fail", "witness": [2, 1]}
@@ -524,8 +539,8 @@ class TestPresentations:
         def negate_swap_1_2(alph, tables):
             for a, b in ((1, 2), (2, 1)):
                 tables[0][a][b] = tuple(
-                    (pair, {key: -c for key, c in f.items()} if pair == (b, a) else f)
-                    for pair, f in tables[0][a][b]
+                    (pair, key, -c if pair == (b, a) else c)
+                    for pair, key, c in tables[0][a][b]
                 )
             return tables
 
