@@ -13,6 +13,14 @@ presentation checks share one in-place accumulate,
 presentation check lists its relations as data, a name and two sides, and
 one loop checks them on every basis word.
 
+One loop, ``_diagonal_sums``, traces every basis word; ``trace_of_word``
+and the oracle both call it.  The oracle splits the standard word as
+``D G``: ``G``, the braid generators, depends only on the part sequence,
+and ``D``, the block-end color scalings, is diagonal.  So the exact diagonal
+of ``G`` is summed once per part sequence and alphabet, grouped by the
+colors at the block ends, and each multipartition shifts each group's sum by
+its own u-monomial.
+
 The key of ``q^e u_1^a_1 ... u_m^a_m`` is ``(e << 8m) + sum a_i << 8(i-1)``:
 each u-exponent has an 8-bit field and q the signed top field, so the unit
 key is 0, a product of monomials is the sum of their keys, and a negative
@@ -224,13 +232,10 @@ def _compile_word(word, n: int, alph: GradedAlphabet):
     return steps
 
 
-def _check_reach(steps, eu_max: int) -> None:
-    """Raise ValueError when applying ``steps`` to coefficients with
-    u-exponents up to ``eu_max`` could move a u-exponent out of its packed
-    field, where it would wrap into the neighbouring one.  Each step carries
-    how far it raises one u-exponent: a color scaling of power e by e, a
-    swap by 0."""
-    top = eu_max + sum(step[3] for step in steps)
+def _check_reach(top: int) -> None:
+    """Raise ValueError when a u-exponent may reach ``top``, out of its
+    packed field, where it would wrap into the neighbouring one.  A color
+    scaling of power e raises one u-exponent by e, a swap by 0."""
     if top >= 1 << _FIELD_BITS:
         raise ValueError(
             f"u-exponents may reach {top}, beyond the packed engine's "
@@ -304,7 +309,8 @@ def apply_generator(sym, state: TensorState, alphabet: GradedAlphabet) -> Tensor
     steps = _compile_word((sym,), state.n, alphabet)
     keys = [key for c in state.terms.values() for key in c.terms]
     if keys:
-        _check_reach(steps, max(max(key[1:], default=0) for key in keys))
+        _check_reach(max(max(key[1:], default=0) for key in keys)
+                     + sum(step[3] for step in steps))
     raw = {w: alphabet.poly_to_raw(c) for w, c in state.terms.items()}
     raw = _apply_steps(raw, steps)
     return TensorState(
@@ -312,41 +318,60 @@ def apply_generator(sym, state: TensorState, alphabet: GradedAlphabet) -> Tensor
     )
 
 
+def _diagonal_sums(steps, n: int, alph: GradedAlphabet, ends) -> dict:
+    """The exact diagonal entries of ``steps`` on every basis word, summed
+    by the tuple of the word's colors at the 0-based positions ``ends``."""
+    colors = alph.colors
+    sums: dict[tuple, dict] = {}
+    for basis in itertools.product(range(1, alph.size + 1), repeat=n):
+        diag = _apply_steps({basis: {0: 1}}, steps).get(basis)
+        if diag:
+            group = tuple([colors[basis[j]] for j in ends])
+            _accumulate(sums.setdefault(group, {}), diag, 0, 1)
+    return sums
+
+
 def trace_of_word(word, n: int, alphabet: GradedAlphabet) -> MultiPoly:
     """Exact trace of any operator word over all basis words of the n-th
     tensor power; its symbols are those of ``apply_generator``."""
     steps = _compile_word(word, n, alphabet)
-    _check_reach(steps, 0)
-    total: dict[int, int] = {}
-    for basis in itertools.product(range(1, alphabet.size + 1), repeat=n):
-        state = _apply_steps({basis: {0: 1}}, steps)
-        diag = state.get(basis)
-        if diag:
-            _accumulate(total, diag, 0, 1)
-    return alphabet.poly_from_raw(total)
+    _check_reach(sum(step[3] for step in steps))
+    return alphabet.poly_from_raw(
+        _diagonal_sums(steps, n, alphabet, ()).get((), {}))
 
 
 @lru_cache(maxsize=1)
-def _alphabet(k, l) -> GradedAlphabet:
-    # callers visit one alphabet for many multipartitions in a row
-    return GradedAlphabet(k, l)
-
-
-@lru_cache(maxsize=None)
-def _char_value_oracle(mu, k, l) -> MultiPoly:
-    return trace_of_word(word_hecke(mu), mp_size(mu), _alphabet(k, l))
+def _alphabet(k, l) -> tuple[GradedAlphabet, dict]:
+    # callers visit one alphabet for many multipartitions in a row; the dict
+    # holds its diagonal sums of G per part sequence
+    return GradedAlphabet(k, l), {}
 
 
 def char_value_oracle(mu, k, l) -> MultiPoly:
-    """Brute-force character value: trace of the standard word on the full
-    tensor power.  The result is the caller's own copy of the cached value."""
+    """Brute-force character value, a fresh one: the trace of the standard
+    word ``word_hecke(mu) = D G`` on the full tensor power.  ``D``, its
+    ``xi`` symbols, is diagonal, so ``<w|D G|w>`` is ``<w|G|w>`` times
+    ``u_c^e`` for each ``xi_j^e``, c the color of w at position j."""
     k, l = check_alphabet(k, l)
     mu = check_multipartition(mu, len(k))
     n = mp_size(mu)
     if n < 1:
         raise ValueError("the multipartition must have positive size")
-    cached = _char_value_oracle(mu, k, l)
-    return MultiPoly._raw(cached.m, dict(cached.terms))
+    word = word_hecke(mu)
+    scale = {sym[1]: sym[2] for sym in word if sym[0] == "xi"}
+    _check_reach(sum(scale.values()))
+    alph, cache = _alphabet(k, l)
+    parts = tuple(p for comp in mu for p in comp)
+    ends = tuple(itertools.accumulate(parts))
+    sums = cache.get(parts)
+    if sums is None:
+        steps = _compile_word([sym for sym in word if sym[0] != "xi"], n, alph)
+        sums = cache[parts] = _diagonal_sums(steps, n, alph, [j - 1 for j in ends])
+    total: dict[int, int] = {}
+    for group, diag in sums.items():
+        shift = sum(alph._u_key(c, scale.get(j, 0)) for c, j in zip(group, ends))
+        _accumulate(total, diag, shift, 1)
+    return alph.poly_from_raw(total)
 
 
 # -- presentation checks ------------------------------------------------------

@@ -324,6 +324,14 @@ class TestComparePair:
         doc = json.loads(out)
         assert any(not row["series_equal"] for row in doc["rows"])
 
+    def test_oracle_bytes_pinned(self, capsys):
+        # oracle series and group values of every m = 2 multipartition up to
+        # n = 4, byte for byte
+        code, out, _ = run_cli(capsys, "compare-pair-regev", "--max-n", "4")
+        assert code == 0
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == (
+            "bedca410e283a9d62b50b97d779cc8f8288313826436bc98586adc990090926e")
+
 
 class TestDeterminism:
     COMMANDS = [

@@ -5,7 +5,9 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from akchar.combinat import count_semistandard, list_graded_pairs, list_multipartitions
+from akchar.combinat import (
+    count_semistandard, list_graded_pairs, list_multipartitions, word_hecke,
+)
 from akchar.formulas import CharSpec, group_character_value
 from akchar.operators import (
     GradedAlphabet,
@@ -20,6 +22,7 @@ from akchar.operators import (
     trace_of_word,
 )
 from akchar.rings import MultiPoly, specialize_to_group
+from akchar.verify import _alphabet_configs
 
 
 def mp(text, m):
@@ -48,6 +51,13 @@ class TestPackedRange:
         state = TensorState(1, {(1,): mp("u1^200", 2)})
         with pytest.raises(ValueError):
             apply_generator(("xi", 1, 100), state, alph)
+
+    def test_oracle_reach(self):
+        # each of the 255 blocks of component 2 scales by u of the one
+        # letter's color, 1
+        assert char_value_oracle(((), (1,) * 255), (1, 0), (0, 0)) == mp("u1^255", 2)
+        with pytest.raises(ValueError, match="u-exponents may reach 256"):
+            char_value_oracle(((), (1,) * 256), (1, 0), (0, 0))
 
     def test_ginv_heavy_word(self):
         # on two equal odd letters T^-1 acts as -q^-1
@@ -428,6 +438,27 @@ class TestOracle:
                             )
                             per_block = per_block * char_value_oracle(single, k, l)
                     assert char_value_oracle(mu, k, l) == per_block, (k, l, mu)
+
+    def test_matches_full_trace_on_criterion_01_grid(self):
+        # the shared diagonal of G against the full trace of D G, case by case
+        for m in (1, 2, 3):
+            for k, l in _alphabet_configs(m, 2, 1, 4):
+                alph = GradedAlphabet(k, l)
+                for n in range(1, 5):
+                    for mu in list_multipartitions(m, n):
+                        assert char_value_oracle(mu, k, l) == \
+                            trace_of_word(word_hecke(mu), n, alph), (k, l, mu)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_matches_full_trace_drawn(self, data):
+        m = data.draw(st.integers(1, 4))
+        counts = st.lists(st.integers(0, 2), min_size=m, max_size=m)
+        k, l = data.draw(st.tuples(counts, counts).filter(lambda kl: sum(map(sum, kl))))
+        n = data.draw(st.integers(1, 4))
+        mu = data.draw(st.sampled_from(list_multipartitions(m, n)))
+        assert char_value_oracle(mu, k, l) == \
+            trace_of_word(word_hecke(mu), n, GradedAlphabet(k, l))
 
     def test_group_specialization_well_defined(self):
         for mu in list_multipartitions(2, 3):
