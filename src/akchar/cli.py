@@ -127,7 +127,6 @@ def run_chars(args) -> int:
             return expand_at_q1(value, order)
         return value
 
-    values = [evaluate(mu) for mu in mus]
     config = {
         "command": "chars", "m": m, "k": list(k), "l": list(l), "n": n,
         "spec": args.spec, "mu": format_multipartition(mus[0]) if args.mu else None,
@@ -136,16 +135,13 @@ def run_chars(args) -> int:
         doc = {
             "config": config,
             "rows": [
-                {"mu": [list(comp) for comp in mu], "value": value.to_json()}
-                for mu, value in zip(mus, values)
+                {"mu": [list(comp) for comp in mu], "value": evaluate(mu).to_json()}
+                for mu in mus
             ],
         }
         _emit(_json_doc(doc), args.out)
     else:
-        rows = [
-            [format_multipartition(mu), value.to_text()]
-            for mu, value in zip(mus, values)
-        ]
+        rows = ([format_multipartition(mu), evaluate(mu).to_text()] for mu in mus)
         _emit(_csv_doc(["mu", "value"], rows), args.out)
     return 0
 
@@ -155,12 +151,11 @@ def run_hooks(args) -> int:
     if args.n is None or args.n < 0:
         raise ValueError("hooks needs --n >= 0")
     n = args.n
-    shapes = list_hook_multipartitions(n, k, l)
-    counts = [
-        (count_semistandard(mu, k, l), count_standard_multitableaux(mu))
-        for mu in shapes
+    rows = [
+        (mu, count_semistandard(mu, k, l), count_standard_multitableaux(mu))
+        for mu in list_hook_multipartitions(n, k, l)
     ]
-    total = sum(s * f for s, f in counts)
+    total = sum(s * f for _, s, f in rows)
     expected = (sum(k) + sum(l)) ** n
     config = {
         "command": "hooks", "m": m, "k": list(k), "l": list(l), "n": n,
@@ -174,19 +169,16 @@ def run_hooks(args) -> int:
                     "semistandard": s,
                     "standard": f,
                 }
-                for mu, (s, f) in zip(shapes, counts)
+                for mu, s, f in rows
             ],
             "footer": {"sum_sf": total, "dimension_power": expected,
                        "ok": total == expected},
         }
         _emit(_json_doc(doc), args.out)
     else:
-        rows = [
-            [format_multipartition(mu), s, f]
-            for mu, (s, f) in zip(shapes, counts)
-        ]
-        rows.append(["sum(s*f)", total, expected])
-        _emit(_csv_doc(["lambda", "semistandard", "standard"], rows), args.out)
+        csv_rows = [[format_multipartition(mu), s, f] for mu, s, f in rows]
+        csv_rows.append(["sum(s*f)", total, expected])
+        _emit(_csv_doc(["lambda", "semistandard", "standard"], csv_rows), args.out)
     return 0 if total == expected else 1
 
 
@@ -248,7 +240,6 @@ def run_compare_pair(args) -> int:
         sizes = [args.n]
     else:
         sizes = list(range(1, args.max_n + 1))
-    cases = [mu for n in sizes for mu in list_multipartitions(2, n)]
 
     def evaluate(mu):
         stated_series, stated_group = pair_regev_rhs(mu)
@@ -267,7 +258,7 @@ def run_compare_pair(args) -> int:
             "group_equal": stated_group == oracle_group,
         }
 
-    rows = [evaluate(mu) for mu in cases]
+    rows = [evaluate(mu) for n in sizes for mu in list_multipartitions(2, n)]
     config = {"command": "compare-pair-regev", "sizes": sizes,
               "k": list(ones), "l": list(ones)}
     if args.format == "json":
@@ -276,12 +267,12 @@ def run_compare_pair(args) -> int:
     else:
         csv_rows = [
             [
-                format_multipartition(mu),
+                format_multipartition(row["mu"]),
                 row["stated_series_text"], row["oracle_series_text"],
                 row["series_equal"], row["stated_group"], row["oracle_group"],
                 row["group_equal"],
             ]
-            for mu, row in zip(cases, rows)
+            for row in rows
         ]
         _emit(
             _csv_doc(

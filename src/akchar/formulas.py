@@ -14,7 +14,7 @@ they check the dynamic program pair by pair.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 
 from .combinat import (
@@ -40,23 +40,19 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class CharSpec:
+class CharSpec(namedtuple("CharSpec", "m k l")):
     """Shape of a character problem: the color count and the letter counts."""
 
-    m: int
-    k: tuple[int, ...]
-    l: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        k, l = check_alphabet(self.k, self.l)
-        check_int(self.m, "color count", 1)
-        if len(k) != self.m:
+    def __new__(cls, m: int, k, l) -> "CharSpec":
+        k, l = check_alphabet(k, l)
+        check_int(m, "color count", 1)
+        if len(k) != m:
             raise ValueError("k and l must both have length m")
-        object.__setattr__(self, "k", k)
-        object.__setattr__(self, "l", l)
         if sum(k) + sum(l) < 1:
             raise ValueError("need at least one letter overall")
+        return super().__new__(cls, m, k, l)
 
     @classmethod
     def ones(cls, m: int) -> "CharSpec":

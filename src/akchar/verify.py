@@ -7,7 +7,7 @@ fixed order, so the output is fixed too.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from collections import namedtuple
 
 from .combinat import (
     count_semistandard,
@@ -37,11 +37,10 @@ from .rings import CycloElem, MultiPoly, TruncSeries, expand_at_q1, specialize_t
 __all__ = ["SuiteResult", "SUITE_NAMES", "run_suite"]
 
 
-@dataclass
-class SuiteResult:
-    name: str
-    cases: int
-    failures: list[dict] = field(default_factory=list)
+class SuiteResult(namedtuple("SuiteResult", "name cases failures")):
+    """A suite's name, its case count and the report of each failed case."""
+
+    __slots__ = ()
 
     @property
     def ok(self) -> bool:

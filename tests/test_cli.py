@@ -333,6 +333,74 @@ class TestComparePair:
             "bedca410e283a9d62b50b97d779cc8f8288313826436bc98586adc990090926e")
 
 
+_BAD_INPUTS = [
+    ("chars", "--k", "1,x", "--l", "1", "--n", "1"),
+    ("chars", "--k", "-1", "--l", "1", "--n", "1"),
+    ("chars", "--k", "1", "--n", "2"),
+    ("chars", "--m", "2", "--k", "1", "--l", "1", "--n", "2"),
+    ("chars", "--k", "1", "--l", "1", "--n", "2", "--spec", "t2:x"),
+    ("chars", "--k", "1", "--l", "1", "--n", "2", "--spec", "t2:0"),
+    ("chars", "--k", "1", "--l", "1", "--n", "2", "--spec", "p"),
+    ("chars", "--k", "1", "--l", "1", "--mu", "[[]]"),
+    ("chars", "--k", "1", "--l", "1", "--mu", '{"a":1}'),
+    ("chars", "--k", "1", "--l", "1"),
+    ("chars", "--k", "0", "--l", "0", "--n", "1"),
+    ("hooks", "--k", "1", "--l", "1", "--n", "-1"),
+    ("compare-pair-regev", "--n", "0"),
+]
+
+
+@pytest.mark.parametrize("argv", _BAD_INPUTS, ids=" ".join)
+def test_bad_input_exits_2(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_bare_t2_is_order_2(capsys):
+    argv = ("chars", "--k", "2,1", "--l", "1,2", "--n", "3", "--format", "csv")
+    code, bare, _ = run_cli(capsys, *argv, "--spec", "t2")
+    assert code == 0
+    code, explicit, _ = run_cli(capsys, *argv, "--spec", "t2:2")
+    assert code == 0 and bare == explicit
+
+
+_CHARS = ("chars", "--k", "2,1", "--l", "1,2")
+_HOOKS = ("hooks", "--k", "2,1", "--l", "1,2", "--n", "4")
+
+# full stdout of each output path of chars, hooks and compare-pair-regev
+_OUTPUT_SHA256 = [
+    ((*_CHARS, "--n", "5", "--format", "json"),
+     "523e8887e61827d9b00df272ed7fbecac65dd7aa6f7fb48fad6655a9751c9cbd"),
+    ((*_CHARS, "--n", "5", "--format", "csv"),
+     "3ed96c47a1813e257ad95ffb731f37c4bfea7f1ede432c8700f8cb1b6ee4f789"),
+    ((*_CHARS, "--n", "5", "--spec", "group", "--format", "csv"),
+     "b08d4b218377b4669dd67c04cce86d6e5ba2c51a2f43b73a727a6a69319674c3"),
+    ((*_CHARS, "--n", "5", "--spec", "group", "--format", "json"),
+     "7a6a2c931d0989bd875fa59978638fef45cf86f3694d7df9b81227e663febbd6"),
+    ((*_CHARS, "--n", "5", "--spec", "t2:3", "--format", "csv"),
+     "8ebbe130649bfee849c51e39dce0b95744dc367cd27617dab568c9b9c0be9573"),
+    ((*_CHARS, "--n", "5", "--spec", "t2:3", "--format", "json"),
+     "f52f1c9f17dbae315d8c16f4bf09ca3da0cf6220eeaf2cd99638f82e75e5abeb"),
+    ((*_CHARS, "--mu", "[[2,1],[2]]", "--format", "json"),
+     "be14425315a32a544e163cfe4b59d24a91365cb3113af2fd481a6fd0aba27da4"),
+    ((*_HOOKS, "--format", "json"),
+     "1afdb03dbf7d5fd130196314b0de4580ceffd01da112b602641ddb7b538ca563"),
+    ((*_HOOKS, "--format", "csv"),
+     "fc46311f6e0874727c51aeaddfe89d7993f6e544bf2f21da16e2b0978f3ce147"),
+    (("compare-pair-regev", "--max-n", "3", "--format", "csv"),
+     "7791101b34f67d4167aedb198ad4b6aa49456bd75c074ede4bcab2c80b40edb2"),
+]
+
+
+@pytest.mark.parametrize("argv, digest", _OUTPUT_SHA256,
+                         ids=[" ".join(argv) for argv, _ in _OUTPUT_SHA256])
+def test_output_bytes_pinned(capsys, argv, digest):
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
 class TestDeterminism:
     COMMANDS = [
         ("chars", "--k", "1,1", "--l", "1,0", "--n", "2"),
@@ -398,17 +466,27 @@ def test_module_entry_point():
     assert json.loads(proc.stdout)["rows"]
 
 
-def test_cli_imports_no_executor():
-    # evaluation is sequential; the CLI loads no thread or process pool
+def _loaded_by_cli_import(*modules):
+    """Those of ``modules`` that a fresh ``import akchar.cli`` loads."""
     env_path = str(Path(__file__).resolve().parent.parent / "src")
     proc = subprocess.run(
         [sys.executable, "-c",
-         "import sys, akchar.cli; print('concurrent.futures' in sys.modules)"],
+         f"import sys, akchar.cli; print([m for m in {modules!r} if m in sys.modules])"],
         capture_output=True, text=True,
         env={"PYTHONPATH": env_path, "PATH": "/usr/bin:/bin"},
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    return proc.stdout.strip()
+
+
+def test_cli_imports_no_executor():
+    # evaluation is sequential; the CLI loads no thread or process pool
+    assert _loaded_by_cli_import("concurrent.futures") == "[]"
+
+
+def test_cli_imports_no_dataclasses():
+    # dataclasses pulls in inspect (and ast, dis, tokenize) at every start
+    assert _loaded_by_cli_import("dataclasses", "inspect") == "[]"
 
 
 def _bench_run_module():

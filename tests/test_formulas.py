@@ -33,6 +33,22 @@ def mp(text, m=0):
     return MultiPoly.from_text(text, m)
 
 
+class TestCharSpec:
+    @pytest.mark.parametrize("args, message", [
+        ((2, (1,), (1,)), "k and l must both have length m"),
+        ((1, (0,), (0,)), "need at least one letter overall"),
+    ], ids=["length", "empty"])
+    def test_rejects(self, args, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            CharSpec(*args)
+
+    def test_immutable(self):
+        spec = CharSpec(1, (1,), (1,))
+        with pytest.raises(AttributeError):
+            spec.k = (2,)
+        assert spec.k == (1,)
+
+
 class TestBracket:
     def test_empty(self):
         assert bracket(0) == 0

@@ -508,6 +508,15 @@ class TestPresentations:
     def test_shoji_n3(self):
         _assert_all_pass(check_shoji_presentation(3, (1, 0), (0, 1)), "n3 m2")
 
+    @pytest.mark.parametrize("check", [check_ak_presentation, check_shoji_presentation])
+    @pytest.mark.parametrize("n", [4, 5])
+    @pytest.mark.parametrize("k, l", [((1,), (1,)), ((1, 0), (0, 1))])
+    def test_far_commutation(self, check, n, k, l):
+        # g_i g_j = g_j g_i for |i - j| >= 2 first appears at n = 4
+        report = check(n, k, l)
+        _assert_all_pass(report, (n, k, l))
+        assert "commute-g1-g3" in {entry["relation"] for entry in report}
+
     def test_exchange_correction(self):
         # letters 1, 2 are even, of colors 1, 2: each exchange relation is off
         # by (1-q)(u1-u2) on (1,2), where the colors increase, and exact on (2,1)
