@@ -55,6 +55,11 @@ class CharSpec(namedtuple("CharSpec", "m k l")):
         return super().__new__(cls, m, k, l)
 
     @classmethod
+    def _make(cls, iterable) -> "CharSpec":
+        # namedtuple's own _make, which _replace calls too, skips __new__
+        return cls(*iterable)
+
+    @classmethod
     def ones(cls, m: int) -> "CharSpec":
         return cls(m, (1,) * m, (1,) * m)
 

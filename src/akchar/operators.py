@@ -3,28 +3,41 @@
 Operators are never materialized as matrices.  A generator word is applied
 symbol by symbol (rightmost symbol first) to each basis vector, with sparse
 accumulation of output coefficients; each quantum-swap symbol branches a
-basis word into at most two words.  Coefficients travel through the hot loop
-as plain dicts keyed by packed integer exponents and are converted to
-``MultiPoly`` at the boundary.  Each swap-table entry is a tuple of monomial
-terms ``(new letter pair, key, integer coefficient)``, and a color scaling
-carries one key shift per letter.  So every step, the trace sum and the
-presentation checks share one in-place accumulate,
-``acc += coeff * monomial(key) * c``, which never stores a zero.  Each
+basis word into at most two words.  A state travels through the hot loop as
+one flat dict ``{key: integer coefficient}`` and becomes basis words with
+``MultiPoly`` weights only at the boundary.
+
+The key of the basis word ``w_1 ... w_n`` times the monomial ``q^e u_1^a_1
+... u_m^a_m`` is ``(mono << f n) + sum w_i << f(i-1)``.  The word fills the
+low ``f n`` bits, ``f = K.bit_length()`` bits for each letter of an alphabet
+of K letters.  Above it sits the monomial key ``mono = (e << 8m) + sum a_i
+<< 8(i-1)``: each u-exponent has an 8-bit field and q the signed top field,
+so the unit monomial is 0, a product of monomials is the sum of their keys,
+and a negative q-exponent makes the key negative without reaching a u-field
+or the word.
+
+A compiled step acts at one position through a table indexed by the letter
+there (a color scaling) or the letter pair there (a swap), read as ``(key >>
+shift) & mask``.  Each entry is a tuple of ``(key delta, integer
+coefficient)`` terms, so the step adds ``c * coeff`` under ``key + delta``
+for each term, and no word tuple is rebuilt.  The tables are derived from
+the swap tables of ``_ensure_tables`` and the letter shifts of
+``_omega_shifts``, once per alphabet and size n.  One loop,
+``_apply_steps``, runs every step, and no state stores a zero.  Each
 presentation check lists its relations as data, a name and two sides, and
 one loop checks them on every basis word.
 
 One loop, ``_diagonal_sums``, traces every basis word; ``trace_of_word``
-and the oracle both call it.  The oracle splits the standard word as
-``D G``: ``G``, the braid generators, depends only on the part sequence,
-and ``D``, the block-end color scalings, is diagonal.  So the exact diagonal
-of ``G`` is summed once per part sequence and alphabet, grouped by the
-colors at the block ends, and each multipartition shifts each group's sum by
-its own u-monomial.
-
-The key of ``q^e u_1^a_1 ... u_m^a_m`` is ``(e << 8m) + sum a_i << 8(i-1)``:
-each u-exponent has an 8-bit field and q the signed top field, so the unit
-key is 0, a product of monomials is the sum of their keys, and a negative
-q-exponent makes the key negative without reaching a u-field.
+and the oracle both call it.  It gives each step the mask of the positions
+that no later step can change.  A new branch whose word differs from the
+basis word at such a position can never return to it, so it is dropped as
+it is made; every diagonal entry stays exact.  Elsewhere the mask is 0 and
+nothing is dropped.  The oracle splits the standard word as ``D G``: ``G``,
+the braid generators, depends only on the part sequence, and ``D``, the
+block-end color scalings, is diagonal.  So the exact diagonal of ``G`` is
+summed once per part sequence and alphabet, grouped by the colors at the
+block ends, and each multipartition shifts each group's sum by its own
+u-monomial.
 """
 from __future__ import annotations
 
@@ -59,7 +72,7 @@ class GradedAlphabet:
 
     __slots__ = (
         "k", "l", "m", "size", "colors", "parities",
-        "_shift", "_tables",
+        "_shift", "_letter_bits", "_tables", "_steps",
     )
 
     def __init__(self, k, l):
@@ -78,7 +91,9 @@ class GradedAlphabet:
         self.colors = tuple(colors)
         self.parities = tuple(parities)
         self._shift = _FIELD_BITS * self.m
+        self._letter_bits = self.size.bit_length()
         self._tables = None
+        self._steps: dict[tuple, tuple] = {}
 
     # -- packed-exponent helpers --------------------------------------
 
@@ -158,6 +173,53 @@ class GradedAlphabet:
         self._tables = (t_tab, tinv_tab, s_tab)
         return self._tables
 
+    # -- flat keys and compiled steps ---------------------------------
+
+    def _word_key(self, word) -> int:
+        f = self._letter_bits
+        return sum(a << (f * i) for i, a in enumerate(word))
+
+    def _word_of(self, key: int, n: int) -> tuple[int, ...]:
+        f = self._letter_bits
+        mask = (1 << f) - 1
+        return tuple((key >> (f * i)) & mask for i in range(n))
+
+    def _step(self, n: int, tag: str, pos: int, e: int) -> tuple:
+        """The compiled step of one symbol at the 0-based position ``pos`` of
+        the n-th tensor power: ``(shift, mask, table, moves, e)``, where
+        ``moves`` holds the word bits the step may change and ``e`` is the
+        power of a color scaling (0 for a swap).  Built once per alphabet
+        and n; the first swap of a kind builds that kind at every position
+        from one read of the swap tables."""
+        step = self._steps.get((n, tag, pos, e))
+        if step is not None:
+            return step
+        f = self._letter_bits
+        width = f * n
+        letters = range(1, self.size + 1)
+        if tag == "xi":
+            shifts = self._omega_shifts(e)
+            table = [None] * (1 << f)
+            for a in letters:
+                table[a] = ((shifts[a] << width, 1),)
+            step = self._steps[n, tag, pos, e] = (f * pos, (1 << f) - 1, table, 0, e)
+            return step
+        t_tab, tinv_tab, s_tab = self._ensure_tables()
+        source = t_tab if tag == "g" else tinv_tab if tag == "ginv" else s_tab
+        mask = (1 << 2 * f) - 1
+        for i in range(n - 1):
+            shift = f * i
+            table = [None] * (mask + 1)
+            for a in letters:
+                row = source[a]
+                for b in letters:
+                    table[a + (b << f)] = tuple([
+                        ((key << width) + ((x - a + ((y - b) << f)) << shift), coeff)
+                        for (x, y), key, coeff in row[b]
+                    ])
+            self._steps[n, tag, i, 0] = (shift, mask, table, mask << shift, 0)
+        return self._steps[n, tag, pos, e]
+
     def __repr__(self) -> str:
         return f"GradedAlphabet(k={self.k}, l={self.l})"
 
@@ -175,15 +237,13 @@ def _accumulate(acc: dict, c: dict, key: int, coeff: int) -> None:
             del acc[k]
 
 
-def _state_add(a: dict, b: dict, key: int, coeff: int) -> dict:
-    """The raw state ``a + coeff * monomial(key) * b``."""
-    out = {w: dict(c) for w, c in a.items()}
-    for w, c in b.items():
-        acc = out.setdefault(w, {})
-        _accumulate(acc, c, key, coeff)
-        if not acc:
-            del out[w]
-    return out
+def _basis_keys(alph: GradedAlphabet, n: int):
+    """The flat key of every basis word of the n-th tensor power, in the
+    lexicographic order of the words."""
+    f = alph._letter_bits
+    letters = range(1, alph.size + 1)
+    return map(sum, itertools.product(
+        *[[a << (f * i) for a in letters] for i in range(n)]))
 
 
 # -- word compilation and application ---------------------------------------
@@ -204,9 +264,9 @@ def _compile_word(word, n: int, alph: GradedAlphabet):
     """Translate a generator word into application-order steps.
 
     ``("g0",)`` is replaced by its expansion before one plain loop compiles
-    the word, so no closure is built and the steps hold no reference cycle:
-    reference counting frees them and the alphabet's tables."""
-    t_tab, tinv_tab, s_tab = alph._ensure_tables()
+    the word.  The steps are the alphabet's cached tuples, so no closure is
+    built and they hold no reference cycle: reference counting frees them
+    with the alphabet."""
     symbols: list[tuple] = []
     for sym in word:
         tag = sym[0] if sym else None
@@ -223,11 +283,10 @@ def _compile_word(word, n: int, alph: GradedAlphabet):
         if tag == "xi":
             j = check_int(sym[1], "position", 1, n)
             e = check_int(sym[2], "color-scaling exponent", 1)
-            steps.append(("diag", j - 1, alph._omega_shifts(e), e))
+            steps.append(alph._step(n, tag, j - 1, e))
         else:
             i = check_int(sym[1], "braid index", 1, n - 1)
-            table = t_tab if tag == "g" else tinv_tab if tag == "ginv" else s_tab
-            steps.append(("pair", i - 1, table, 0))
+            steps.append(alph._step(n, tag, i - 1, 0))
     steps.reverse()  # rightmost symbol acts first
     return steps
 
@@ -243,23 +302,24 @@ def _check_reach(top: int) -> None:
         )
 
 
-def _apply_steps(state: dict, steps) -> dict:
-    for kind, pos, table, _ in steps:
-        if not state:
-            break
-        new = {}
-        if kind == "diag":
-            for w, c in state.items():
-                new[w] = acc = {}
-                _accumulate(acc, c, table[w[pos]], 1)
-        else:
-            for w, c in state.items():
-                for (x, y), key, coeff in table[w[pos]][w[pos + 1]]:
-                    w2 = w[:pos] + (x, y) + w[pos + 2:]
-                    acc = new.setdefault(w2, {})
-                    _accumulate(acc, c, key, coeff)
-                    if not acc:
-                        del new[w2]
+def _apply_steps(state: dict, steps, basis: int = 0, finished=None) -> dict:
+    """Run compiled ``steps`` on a flat state.  Step i drops each new branch
+    that differs from the word key ``basis`` on the bits ``finished[i]``;
+    with no ``finished`` nothing is dropped."""
+    for (shift, mask, table, _, _), done in zip(
+            steps, finished or itertools.repeat(0)):
+        new: dict[int, int] = {}
+        get = new.get
+        for key, c in state.items():
+            for delta, coeff in table[(key >> shift) & mask]:
+                key2 = key + delta
+                if (key2 ^ basis) & done:
+                    continue
+                value = get(key2, 0) + c * coeff
+                if value:
+                    new[key2] = value
+                else:
+                    del new[key2]
         state = new
     return state
 
@@ -306,36 +366,56 @@ def apply_generator(sym, state: TensorState, alphabet: GradedAlphabet) -> Tensor
         for letter in word:
             if not 1 <= letter <= alphabet.size:
                 raise ValueError(f"letter {letter} outside the alphabet")
-    steps = _compile_word((sym,), state.n, alphabet)
+    n = state.n
+    steps = _compile_word((sym,), n, alphabet)
     keys = [key for c in state.terms.values() for key in c.terms]
     if keys:
         _check_reach(max(max(key[1:], default=0) for key in keys)
-                     + sum(step[3] for step in steps))
-    raw = {w: alphabet.poly_to_raw(c) for w, c in state.terms.items()}
-    raw = _apply_steps(raw, steps)
-    return TensorState(
-        state.n, {w: alphabet.poly_from_raw(c) for w, c in raw.items()}
-    )
+                     + sum(step[4] for step in steps))
+    width = alphabet._letter_bits * n
+    raw = {
+        (key << width) + alphabet._word_key(w): v
+        for w, c in state.terms.items()
+        for key, v in alphabet.poly_to_raw(c).items()
+    }
+    words: dict[int, dict] = {}
+    for key, v in _apply_steps(raw, steps).items():
+        words.setdefault(key & ((1 << width) - 1), {})[key >> width] = v
+    return TensorState(n, {
+        alphabet._word_of(w, n): alphabet.poly_from_raw(c) for w, c in words.items()
+    })
 
 
 def _diagonal_sums(steps, n: int, alph: GradedAlphabet, ends) -> dict:
     """The exact diagonal entries of ``steps`` on every basis word, summed
-    by the tuple of the word's colors at the 0-based positions ``ends``."""
+    by the tuple of the word's colors at the 0-based positions ``ends``.
+    Each step drops the branches that differ from the basis word at a
+    position no later step changes."""
+    f = alph._letter_bits
+    width = f * n
+    finished, later = [], 0
+    for step in reversed(steps):
+        finished.append(((1 << width) - 1) & ~later)
+        later |= step[3]
+    finished.reverse()
     colors = alph.colors
+    mask = (1 << f) - 1
     sums: dict[tuple, dict] = {}
-    for basis in itertools.product(range(1, alph.size + 1), repeat=n):
-        diag = _apply_steps({basis: {0: 1}}, steps).get(basis)
+    for basis in _basis_keys(alph, n):
+        diag = _apply_steps({basis: 1}, steps, basis, finished)
         if diag:
-            group = tuple([colors[basis[j]] for j in ends])
-            _accumulate(sums.setdefault(group, {}), diag, 0, 1)
-    return sums
+            group = tuple([colors[(basis >> (f * j)) & mask] for j in ends])
+            # each key of diag is the basis word's plus its monomial's
+            _accumulate(sums.setdefault(group, {}), diag, -basis, 1)
+    return {group: {key >> width: c for key, c in acc.items()}
+            for group, acc in sums.items()}
 
 
 def trace_of_word(word, n: int, alphabet: GradedAlphabet) -> MultiPoly:
     """Exact trace of any operator word over all basis words of the n-th
     tensor power; its symbols are those of ``apply_generator``."""
     steps = _compile_word(word, n, alphabet)
-    _check_reach(sum(step[3] for step in steps))
+    _check_reach(sum(step[4] for step in steps))
     return alphabet.poly_from_raw(
         _diagonal_sums(steps, n, alphabet, ()).get((), {}))
 
@@ -382,21 +462,21 @@ def _zero(basis):
 
 def _runner(word, n, alph):
     steps = _compile_word(word, n, alph)
-    return lambda basis: _apply_steps({basis: {0: 1}}, steps)
+    return lambda basis: _apply_steps({basis: 1}, steps)
 
 
 def _report(alph, n, relations) -> list[dict]:
     """Check each ``(name, lhs, rhs)`` relation on every basis word, in
-    order.  A side is an operator word or a callable from a basis word to a
-    raw state; a failure's witness is the first basis word on which the two
-    sides differ."""
+    order.  A side is an operator word or a callable from a basis word's key
+    to a flat state; a failure's witness is the first basis word on which
+    the two sides differ."""
     report: list[dict] = []
     for name, *sides in relations:
         lhs, rhs = (s if callable(s) else _runner(s, n, alph) for s in sides)
         witness = None
-        for basis in itertools.product(range(1, alph.size + 1), repeat=n):
+        for basis in _basis_keys(alph, n):
             if lhs(basis) != rhs(basis):
-                witness = list(basis)
+                witness = list(alph._word_of(basis, n))
                 break
         report.append({"relation": name, "status": "fail" if witness else "pass",
                        "witness": witness})
@@ -408,11 +488,14 @@ def _annihilator(word, n, alph, roots):
     where X acts by ``word`` and each root is a monomial ``(key, coeff)``;
     zero on every word when that polynomial annihilates X."""
     steps = _compile_word(word, n, alph)
+    width = alph._letter_bits * n
 
     def lhs(basis):
-        state = {basis: {0: 1}}
+        state = {basis: 1}
         for key, coeff in roots:
-            state = _state_add(_apply_steps(state, steps), state, key, -coeff)
+            image = _apply_steps(state, steps)
+            _accumulate(image, state, key << width, -coeff)
+            state = image
         return state
 
     return lhs
@@ -420,13 +503,17 @@ def _annihilator(word, n, alph, roots):
 
 def _exchange(word, n, alph, j, corr, sign):
     """Basis word w -> ``word`` applied to w, plus ``sign * corr[c, d] * w``
-    when the letters of w at positions j, j+1 have colors (c, d) in ``corr``."""
+    when the letters of w at positions j, j+1 have colors (c, d) in ``corr``,
+    a flat state on the word key 0."""
     run = _runner(word, n, alph)
 
     def rhs(basis):
-        factor = corr.get((alph.colors[basis[j - 1]], alph.colors[basis[j]]))
+        c, d = (alph.colors[a] for a in alph._word_of(basis, n)[j - 1:j + 1])
+        factor = corr.get((c, d))
         state = run(basis)
-        return _state_add(state, {basis: factor}, 0, sign) if factor else state
+        if factor:
+            _accumulate(state, factor, basis, sign)
+        return state
 
     return rhs
 
@@ -481,13 +568,14 @@ def check_shoji_presentation(n: int, k, l) -> list[dict]:
     check_int(n, "n", 2)
     alph = GradedAlphabet(k, l)
     m = alph.m
+    width = alph._letter_bits * n
     roots = [(alph._u_key(c), 1) for c in range(1, m + 1)]
     # u_c - u_d scaled by 1 - q, for the colors c < d of two adjacent letters
     one_minus_q = MultiPoly.one(m) - MultiPoly.q_power(1, m)
     corr = {
-        (c, d): alph.poly_to_raw(
+        (c, d): {key << width: v for key, v in alph.poly_to_raw(
             one_minus_q * (MultiPoly.u_power(c, m) - MultiPoly.u_power(d, m))
-        )
+        ).items()}
         for c in range(1, m + 1)
         for d in range(c + 1, m + 1)
     }

@@ -42,6 +42,19 @@ class TestCharSpec:
         with pytest.raises(ValueError, match=f"^{message}$"):
             CharSpec(*args)
 
+    def test_replace_and_make_check(self):
+        # namedtuple's _replace and _make build through _make, which must
+        # run the same checks as the constructor
+        with pytest.raises(ValueError, match="^k and l must both have length m$"):
+            CharSpec.ones(1)._replace(m=2)
+        with pytest.raises(ValueError,
+                           match="^color count must be a positive integer, got 0$"):
+            CharSpec._make((0, (0,), (0,)))
+        with pytest.raises(ValueError, match="^need at least one letter overall$"):
+            CharSpec._make((1, (0,), (0,)))
+        assert CharSpec.ones(2)._replace(k=[2, 0]) == CharSpec(2, (2, 0), (1, 1))
+        assert CharSpec._make([1, [1], [1]]) == CharSpec.ones(1)
+
     def test_immutable(self):
         spec = CharSpec(1, (1,), (1,))
         with pytest.raises(AttributeError):

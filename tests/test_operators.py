@@ -15,6 +15,7 @@ from akchar.operators import (
     _accumulate,
     _apply_steps,
     _compile_word,
+    _diagonal_sums,
     apply_generator,
     char_value_oracle,
     check_ak_presentation,
@@ -242,13 +243,93 @@ def test_words_match_multipoly_reference(case):
 
 
 def test_raw_state_keeps_no_cancelled_word():
-    # the presentation checks compare raw states with !=, so an empty
-    # coefficient dict left under a word would read as a difference; on
-    # every ascending pair two branches of the T^-1 step cancel
+    # the presentation checks compare flat states with !=, so a zero left
+    # under a cancelled key would read as a difference; on every ascending
+    # pair two branches of the T^-1 step cancel
     alph = GradedAlphabet((1, 1), (1, 0))
     steps = _compile_word((("ginv", 1), ("g", 1)), 2, alph)
     for w in itertools.product(range(1, alph.size + 1), repeat=2):
-        assert _apply_steps({w: {0: 1}}, steps) == {w: {0: 1}}, w
+        basis = alph._word_key(w)
+        assert _apply_steps({basis: 1}, steps) == {basis: 1}, w
+
+
+def _unpruned_diagonal_sums(steps, n, alph, ends):
+    """``_diagonal_sums`` through the same kernel with every finished mask
+    0: each basis word's whole image, then its entries on that word."""
+    width = alph._letter_bits * n
+    sums = {}
+    for w in itertools.product(range(1, alph.size + 1), repeat=n):
+        basis = alph._word_key(w)
+        image = _apply_steps({basis: 1}, steps, basis, [0] * len(steps))
+        diag = {key >> width: c for key, c in image.items()
+                if key & ((1 << width) - 1) == basis}
+        if diag:
+            group = tuple(alph.colors[w[j]] for j in ends)
+            _accumulate(sums.setdefault(group, {}), diag, 0, 1)
+    return sums
+
+
+def test_pruning_keeps_every_diagonal_on_criterion_01_grid():
+    # the finished masks drop only branches that cannot return to their
+    # basis word: per part sequence, the grouped diagonal sums of G equal
+    # those of the unpruned kernel
+    checked = 0
+    for m in (1, 2, 3):
+        for k, l in _alphabet_configs(m, 2, 1, 4):
+            alph = GradedAlphabet(k, l)
+            for n in range(1, 5):
+                seen = set()
+                for mu in list_multipartitions(m, n):
+                    parts = tuple(p for comp in mu for p in comp)
+                    if parts in seen:
+                        continue
+                    seen.add(parts)
+                    ends = [j - 1 for j in itertools.accumulate(parts)]
+                    word = [sym for sym in word_hecke(mu) if sym[0] != "xi"]
+                    steps = _compile_word(word, n, alph)
+                    assert _diagonal_sums(steps, n, alph, ends) == \
+                        _unpruned_diagonal_sums(steps, n, alph, ends), (k, l, parts)
+                    checked += 1
+    assert checked > 1000
+
+
+@st.composite
+def revisit_cases(draw):
+    """An alphabet, n <= 4 and a mixed word in which some position is left
+    by one step and touched again by a later one."""
+    m = draw(st.integers(1, 2))
+    k = tuple(draw(st.integers(0, 1)) for _ in range(m))
+    l = tuple(draw(st.integers(0, 1)) for _ in range(m))
+    if not sum(k) + sum(l):
+        k = (1,) + k[1:]
+    n = draw(st.integers(2, 4))
+    tags = st.sampled_from(["g", "ginv", "swap"])
+    braid = st.tuples(tags, st.integers(1, n - 1))
+    xi = st.tuples(st.just("xi"), st.integers(1, n), st.integers(1, 2))
+    i = draw(st.integers(1, n - 1))
+    # the middle symbol, a color scaling or a braid at another index,
+    # changes at most one of the two positions of the outer symbols, and the
+    # last outer symbol touches both again
+    middle = [("xi", draw(st.integers(1, n)), 1)]
+    middle += [(draw(tags), j) for j in range(1, n) if j != i]
+    revisit = [(draw(tags), i), draw(st.sampled_from(middle)), (draw(tags), i)]
+    word = draw(st.lists(st.one_of(braid, xi), max_size=3))
+    at = draw(st.integers(0, len(word)))
+    return GradedAlphabet(k, l), n, tuple(word[:at] + revisit + word[at:])
+
+
+@settings(max_examples=60, deadline=None)
+@given(revisit_cases())
+def test_trace_of_revisiting_word_matches_multipoly_reference(case):
+    alph, n, word = case
+    m = alph.m
+    expected = MultiPoly.zero(m)
+    for w in itertools.product(range(1, alph.size + 1), repeat=n):
+        state = {w: MultiPoly.one(m)}
+        for sym in reversed(word):  # rightmost symbol acts first
+            state = _reference_apply(sym, state, alph, m)
+        expected = expected + state.get(w, MultiPoly.zero(m))
+    assert trace_of_word(word, n, alph) == expected, word
 
 
 class TestApplyGenerator:
