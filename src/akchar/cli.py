@@ -132,14 +132,17 @@ def run_chars(args) -> int:
         "spec": args.spec, "mu": format_multipartition(mus[0]) if args.mu else None,
     }
     if args.format == "json":
-        doc = {
-            "config": config,
-            "rows": [
-                {"mu": [list(comp) for comp in mu], "value": evaluate(mu).to_json()}
-                for mu in mus
-            ],
-        }
-        _emit(_json_doc(doc), args.out)
+        # _json_doc of the whole table, built one row at a time: each row's
+        # text is indented into the frame of a one-row table, whose row is
+        # its last "0", and the rows are joined once
+        head, _, tail = _json_doc({"config": config, "rows": [0]}).rpartition("0")
+        rows = (
+            json.dumps({"mu": [list(comp) for comp in mu],
+                        "value": evaluate(mu).to_json()}, indent=2)
+            .replace("\n", "\n    ")
+            for mu in mus
+        )
+        _emit(head + ",\n    ".join(rows) + tail, args.out)
     else:
         rows = ([format_multipartition(mu), evaluate(mu).to_text()] for mu in mus)
         _emit(_csv_doc(["mu", "value"], rows), args.out)

@@ -58,21 +58,42 @@ class _Ring:
 
 def _join_terms(terms) -> str:
     """Canonical text of a sum from ``(coefficient, monomial text)`` pairs
-    with nonzero coefficients; the constant term has empty monomial text."""
+    with nonzero coefficients; the constant term has empty monomial text.
+
+    One pass: each term appends its separator and then its body, and the
+    first separator becomes a bare sign at the end."""
     pieces = []
     for coeff, mono in terms:
-        mag = abs(coeff)
-        if mono and mag == 1:
-            body = mono
-        elif mono:
-            body = f"{mag}*{mono}"
+        if coeff < 0:
+            pieces.append(" - ")
+            coeff = -coeff
         else:
-            body = str(mag)
-        if not pieces:
-            pieces.append(f"-{body}" if coeff < 0 else body)
+            pieces.append(" + ")
+        if not mono:
+            pieces.append(str(coeff))
+        elif coeff == 1:
+            pieces.append(mono)
         else:
-            pieces.append(f" - {body}" if coeff < 0 else f" + {body}")
-    return "".join(pieces) or "0"
+            pieces.append(f"{coeff}*{mono}")
+    if not pieces:
+        return "0"
+    pieces[0] = "-" if pieces[0] == " - " else ""
+    return "".join(pieces)
+
+
+@lru_cache(maxsize=4096)
+def _monomial_text(key) -> str:
+    """Text of the monomial with exponent key ``(e_q, e_1, ..., e_m)``; the
+    empty string for the constant monomial.  The bound holds every distinct
+    monomial of an 810-row table (2,240) with room to spare."""
+    parts = []
+    eq = key[0]
+    if eq:
+        parts.append("q" if eq == 1 else f"q^{eq}")
+    for i, e in enumerate(key[1:], start=1):
+        if e:
+            parts.append(f"u{i}" if e == 1 else f"u{i}^{e}")
+    return "*".join(parts)
 
 
 class MultiPoly(_Ring):
@@ -325,21 +346,10 @@ class MultiPoly(_Ring):
 
     # -- serialization ----------------------------------------------------
 
-    def _monomial_text(self, key) -> str:
-        parts = []
-        eq = key[0]
-        if eq:
-            parts.append("q" if eq == 1 else f"q^{eq}")
-        for i, e in enumerate(key[1:], start=1):
-            if e:
-                parts.append(f"u{i}" if e == 1 else f"u{i}^{e}")
-        return "*".join(parts)
-
     def to_text(self) -> str:
         """Canonical text form: terms sorted by (e_q, e_1, ..., e_m)."""
-        return _join_terms(
-            [(self.terms[key], self._monomial_text(key)) for key in sorted(self.terms)]
-        )
+        terms = self.terms
+        return _join_terms([(terms[key], _monomial_text(key)) for key in sorted(terms)])
 
     @classmethod
     def from_text(cls, text: str, m: int) -> "MultiPoly":

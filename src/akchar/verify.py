@@ -72,11 +72,10 @@ def suite_oracle(max_n=None, m_only=None, n_only=None) -> SuiteResult:
     """Closed form versus brute-force trace, as canonical polynomials."""
     cases = []
     for m in _ms((1, 2, 3), m_only):
+        mus = [mu for n in _ns(1, 4, max_n, n_only) for mu in list_multipartitions(m, n)]
         for k, l in _alphabet_configs(m, 2, 1, 4):
             spec = CharSpec(m, k, l)
-            for n in _ns(1, 4, max_n, n_only):
-                for mu in list_multipartitions(m, n):
-                    cases.append((mu, k, l, spec))
+            cases += [(mu, k, l, spec) for mu in mus]
 
     def check(case):
         mu, k, l, spec = case
@@ -127,11 +126,10 @@ def suite_specialization(max_n=None, m_only=None, n_only=None) -> SuiteResult:
     """Root-of-unity specialization of the oracle versus the group formula."""
     cases = []
     for m in _ms((1, 2, 3, 4), m_only):
+        mus = [mu for n in _ns(1, 4, max_n, n_only) for mu in list_multipartitions(m, n)]
         for k, l in _alphabet_configs(m, 2, 1, 4):
             spec = CharSpec(m, k, l)
-            for n in _ns(1, 4, max_n, n_only):
-                for mu in list_multipartitions(m, n):
-                    cases.append((mu, k, l, spec))
+            cases += [(mu, k, l, spec) for mu in mus]
 
     def check(case):
         mu, k, l, spec = case
@@ -274,16 +272,17 @@ def suite_dimension_identity(max_n=None, m_only=None, n_only=None) -> SuiteResul
     resolve the full tensor-power dimension."""
     cases = []
     for m in _ms((1, 2), m_only):
+        sizes = [(n, list_multipartitions(m, n)) for n in _ns(0, 5, max_n, n_only)]
         for k, l in _alphabet_configs(m, 2, 1, 4 * m):
-            for n in _ns(0, 5, max_n, n_only):
-                cases.append(("dimension", m, k, l, n))
+            for n, mus in sizes:
+                cases.append(("dimension", k, l, n, mus))
     for m in _ms((1, 2, 3), m_only):
         ones = (1,) * m
         for n in _ns(0, 5, max_n, n_only):
-            cases.append(("power-of-two", m, ones, ones, n))
+            cases.append(("power-of-two", ones, ones, n, ()))
 
     def check(case):
-        kind, m, k, l, n = case
+        kind, k, l, n, mus = case
         hooks = set(list_hook_multipartitions(n, k, l))
         if kind == "power-of-two":
             for mu in hooks:
@@ -293,7 +292,7 @@ def suite_dimension_identity(max_n=None, m_only=None, n_only=None) -> SuiteResul
                             "count": s, "expected": 2 ** mp_num_nonzero(mu)}
             return None
         total = 0
-        for mu in list_multipartitions(m, n):
+        for mu in mus:
             s = count_semistandard(mu, k, l)
             if (s > 0) != (mu in hooks):
                 return {"check": "hook-support", "mu": format_multipartition(mu),

@@ -4,6 +4,7 @@ import json
 import shlex
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -11,6 +12,8 @@ import pytest
 
 from akchar import verify
 from akchar.cli import main
+from akchar.combinat import list_multipartitions
+from akchar.formulas import CharSpec, character_value
 
 
 @pytest.mark.parametrize("module", [
@@ -125,6 +128,36 @@ class TestChars:
         )
         assert code == 0 and out == ""
         assert json.loads(path.read_text())["rows"]
+
+
+    def test_json_table_peak_below_whole_document(self, capsys, tmp_path):
+        # the JSON table is built one row at a time; building the whole
+        # document of per-term dicts first, as json.dumps needs, peaks higher
+        path = tmp_path / "table.json"
+        argv = ("chars", "--k", "2,1", "--l", "1,1", "--n", "6",
+                "--format", "json", "--out", str(path))
+        assert run_cli(capsys, *argv)[0] == 0  # warm the closed-form caches
+        tracemalloc.start()
+        try:
+            assert run_cli(capsys, *argv)[0] == 0
+            rows_peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            spec = CharSpec(2, (2, 1), (1, 1))
+            doc = {
+                "config": {"command": "chars", "m": 2, "k": [2, 1], "l": [1, 1],
+                           "n": 6, "spec": "generic", "mu": None},
+                "rows": [
+                    {"mu": [list(comp) for comp in mu],
+                     "value": character_value(mu, spec).to_json()}
+                    for mu in list_multipartitions(2, 6)
+                ],
+            }
+            whole = json.dumps(doc, indent=2) + "\n"
+            doc_peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert path.read_text() == whole
+        assert 2 * rows_peak < doc_peak
 
 
 class TestHooks:
@@ -382,6 +415,8 @@ _OUTPUT_SHA256 = [
      "8ebbe130649bfee849c51e39dce0b95744dc367cd27617dab568c9b9c0be9573"),
     ((*_CHARS, "--n", "5", "--spec", "t2:3", "--format", "json"),
      "f52f1c9f17dbae315d8c16f4bf09ca3da0cf6220eeaf2cd99638f82e75e5abeb"),
+    (("chars", "--k", "2,1", "--l", "1,1", "--n", "5", "--format", "json"),
+     "d37b2f2b45f89a780f0fd3d71ea189d7433179472fc8300364cae3e7b0eef4d5"),
     ((*_CHARS, "--mu", "[[2,1],[2]]", "--format", "json"),
      "be14425315a32a544e163cfe4b59d24a91365cb3113af2fd481a6fd0aba27da4"),
     ((*_HOOKS, "--format", "json"),

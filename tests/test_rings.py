@@ -3,7 +3,7 @@ import math
 import operator
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from akchar.rings import (
     CycloElem,
@@ -13,6 +13,7 @@ from akchar.rings import (
     cyclotomic_polynomial,
     expand_at_q1,
     specialize_to_group,
+    _monomial_text,
 )
 
 
@@ -197,6 +198,89 @@ def test_ring_laws(pair):
 @given(st.integers(0, 3).flatmap(multipolys))
 def test_text_round_trip(p):
     assert MultiPoly.from_text(p.to_text(), p.m) == p
+
+
+def _reference_text(p):
+    """Canonical text written term by term, with no shared helper."""
+    text = ""
+    for key in sorted(p.terms):
+        c = p.terms[key]
+        factors = []
+        if key[0]:
+            factors.append("q" if key[0] == 1 else f"q^{key[0]}")
+        for i, e in enumerate(key[1:], start=1):
+            if e:
+                factors.append(f"u{i}" if e == 1 else f"u{i}^{e}")
+        if abs(c) != 1 or not factors:
+            factors.insert(0, str(abs(c)))
+        body = "*".join(factors)
+        if not text:
+            text = "-" + body if c < 0 else body
+        else:
+            text += (" - " if c < 0 else " + ") + body
+    return text or "0"
+
+
+@st.composite
+def text_polys(draw, m):
+    """Polynomials whose terms have negative q-exponents, coefficients +-1
+    and larger ones, and sometimes a constant term."""
+    terms = {}
+    for _ in range(draw(st.integers(0, 5))):
+        key = (draw(st.integers(-4, 4)),) + tuple(
+            draw(st.integers(0, 3)) for _ in range(m)
+        )
+        terms[key] = draw(st.one_of(st.sampled_from([1, -1]), st.integers(-99, 99)))
+    if draw(st.booleans()):
+        terms[(0,) * (m + 1)] = draw(st.sampled_from([1, -1, 5, -12]))
+    return MultiPoly(m, terms)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 3).flatmap(text_polys))
+@example(MultiPoly.zero(2))
+@example(MultiPoly.const(-1, 1))
+@example(MultiPoly.from_text("-q^-3 + 1", 0))
+@example(MultiPoly.from_text("-q^-1*u1 - 1 + 2*q*u1^2*u2 - u2^3", 2))
+def test_text_matches_reference_formatter(p):
+    assert p.to_text() == _reference_text(p)
+
+
+def test_text_same_with_cold_and_warm_memo():
+    p = MultiPoly.from_text("-q^-2*u1 + 3 - u2^2 + q*u1*u2 - q^-1", 2)
+    _monomial_text.cache_clear()
+    cold = p.to_text()
+    assert _monomial_text.cache_info().misses == len(p.terms)
+    warm = p.to_text()
+    assert _monomial_text.cache_info().hits == len(p.terms)
+    assert cold == warm == "-q^-2*u1 - q^-1 + 3 - u2^2 + q*u1*u2"
+
+
+@pytest.mark.parametrize("elem, text", [
+    (CycloElem(5, (-1, 1, -3, 2)), "-1 + x - 3*x^2 + 2*x^3"),
+    (CycloElem(3, (0, -1)), "-x"),
+    (CycloElem(4, (-1, -2)), "-1 - 2*x"),
+    (CycloElem(6, (1, -1)), "1 - x"),
+    (CycloElem(1, (-7,)), "-7"),
+    (CycloElem(4, (0, 0)), "0"),
+])
+def test_cyclo_text_pinned(elem, text):
+    assert elem.to_text() == text
+
+
+def _series(order, texts):
+    return TruncSeries(order, 2, [MultiPoly.from_text(t, 2) for t in texts])
+
+
+@pytest.mark.parametrize("series, text", [
+    (_series(5, ["-2", "1", "-u1", "3 - u1^2", "2*u2"]),
+     "-2 + t + (-u1)*t^2 + (3 - u1^2)*t^3 + 2*u2*t^4"),
+    (_series(3, ["0", "-1", "u1"]), "(-1)*t + u1*t^2"),
+    (_series(3, ["1"]), "1"),
+    (_series(2, []), "0"),
+])
+def test_series_text_pinned(series, text):
+    assert series.to_text() == text
 
 
 @settings(max_examples=60, deadline=None)
