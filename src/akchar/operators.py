@@ -7,14 +7,17 @@ basis word into at most two words.  A state travels through the hot loop as
 one flat dict ``{key: integer coefficient}`` and becomes basis words with
 ``MultiPoly`` weights only at the boundary.
 
-The key of the basis word ``w_1 ... w_n`` times the monomial ``q^e u_1^a_1
-... u_m^a_m`` is ``(mono << f n) + sum w_i << f(i-1)``.  The word fills the
-low ``f n`` bits, ``f = K.bit_length()`` bits for each letter of an alphabet
-of K letters.  Above it sits the monomial key ``mono = (e << 8m) + sum a_i
-<< 8(i-1)``: each u-exponent has an 8-bit field and q the signed top field,
-so the unit monomial is 0, a product of monomials is the sum of their keys,
-and a negative q-exponent makes the key negative without reaching a u-field
-or the word.
+The key of the word ``w_1 ... w_n``, reached from the basis word ``b_1 ...
+b_n``, times the monomial ``q^e u_1^a_1 ... u_m^a_m`` is ``(mono << 2fn) +
+(basis << fn) + word``, where ``word = sum w_i << f(i-1)`` and ``basis`` packs
+``b`` the same way.  The word fills the low ``f n`` bits, ``f =
+K.bit_length()`` bits for each letter of an alphabet of K letters, and the
+basis word the next ``f n``; steps never change the basis field, and
+``apply_generator`` and the presentation checks leave it 0.  Above both sits
+the monomial key ``mono = (e << 8m) + sum a_i << 8(i-1)``: each u-exponent
+has an 8-bit field and q the signed top field, so the unit monomial is 0, a
+product of monomials is the sum of their keys, and a negative q-exponent
+makes the key negative without reaching a u-field or either word.
 
 A compiled step acts at one position through a table indexed by the letter
 there (a color scaling) or the letter pair there (a swap), read as ``(key >>
@@ -27,17 +30,19 @@ the swap tables of ``_ensure_tables`` and the letter shifts of
 presentation check lists its relations as data, a name and two sides, and
 one loop checks them on every basis word.
 
-One loop, ``_diagonal_sums``, traces every basis word; ``trace_of_word``
-and the oracle both call it.  It gives each step the mask of the positions
-that no later step can change.  A new branch whose word differs from the
-basis word at such a position can never return to it, so it is dropped as
-it is made; every diagonal entry stays exact.  Elsewhere the mask is 0 and
-nothing is dropped.  The oracle splits the standard word as ``D G``: ``G``,
-the braid generators, depends only on the part sequence, and ``D``, the
-block-end color scalings, is diagonal.  So the exact diagonal of ``G`` is
-summed once per part sequence and alphabet, grouped by the colors at the
-block ends, and each multipartition shifts each group's sum by its own
-u-monomial.
+One pass, ``_diagonal_sums``, traces every basis word at once;
+``trace_of_word`` and the oracle both call it.  Its start state holds each
+basis word in both fields, and it gives each step the mask of the positions
+that no later step can change.  A new branch whose word differs from its own
+basis field at such a position can never return to it, so it is dropped as
+it is made; every diagonal entry stays exact.  After the last step every
+position is finished, so each surviving word is its basis word, and the
+state is the whole diagonal.  The oracle splits the standard word as ``D
+G``: ``G``, the braid generators, depends only on the part sequence, and
+``D``, the block-end color scalings, is diagonal.  So the exact diagonal of
+``G`` is summed once per part sequence and alphabet, grouped by the colors
+at the block ends, and each multipartition shifts each group's sum by its
+own u-monomial.
 """
 from __future__ import annotations
 
@@ -72,7 +77,7 @@ class GradedAlphabet:
 
     __slots__ = (
         "k", "l", "m", "size", "colors", "parities",
-        "_shift", "_letter_bits", "_tables", "_steps",
+        "_shift", "_letter_bits", "_tables", "_steps", "_monomials",
     )
 
     def __init__(self, k, l):
@@ -94,6 +99,7 @@ class GradedAlphabet:
         self._letter_bits = self.size.bit_length()
         self._tables = None
         self._steps: dict[tuple, tuple] = {}
+        self._monomials: dict[int, tuple] = {}
 
     # -- packed-exponent helpers --------------------------------------
 
@@ -116,7 +122,15 @@ class GradedAlphabet:
         return {self._encode(key[0], key[1:]): c for key, c in p.terms.items()}
 
     def poly_from_raw(self, raw: dict[int, int]) -> MultiPoly:
-        return MultiPoly._raw(self.m, {self._decode(k): c for k, c in raw.items()})
+        # each packed monomial is decoded once per alphabet
+        monomials = self._monomials
+        terms = {}
+        for key, c in raw.items():
+            mono = monomials.get(key)
+            if mono is None:
+                mono = monomials[key] = self._decode(key)
+            terms[mono] = c
+        return MultiPoly._raw(self.m, terms)
 
     def _u_key(self, color: int, e: int = 1) -> int:
         return e << (_FIELD_BITS * (color - 1))
@@ -195,13 +209,13 @@ class GradedAlphabet:
         if step is not None:
             return step
         f = self._letter_bits
-        width = f * n
+        above = 2 * f * n  # the monomial sits above the word and basis fields
         letters = range(1, self.size + 1)
         if tag == "xi":
             shifts = self._omega_shifts(e)
             table = [None] * (1 << f)
             for a in letters:
-                table[a] = ((shifts[a] << width, 1),)
+                table[a] = ((shifts[a] << above, 1),)
             step = self._steps[n, tag, pos, e] = (f * pos, (1 << f) - 1, table, 0, e)
             return step
         t_tab, tinv_tab, s_tab = self._ensure_tables()
@@ -214,7 +228,7 @@ class GradedAlphabet:
                 row = source[a]
                 for b in letters:
                     table[a + (b << f)] = tuple([
-                        ((key << width) + ((x - a + ((y - b) << f)) << shift), coeff)
+                        ((key << above) + ((x - a + ((y - b) << f)) << shift), coeff)
                         for (x, y), key, coeff in row[b]
                     ])
             self._steps[n, tag, i, 0] = (shift, mask, table, mask << shift, 0)
@@ -237,13 +251,15 @@ def _accumulate(acc: dict, c: dict, key: int, coeff: int) -> None:
             del acc[k]
 
 
-def _basis_keys(alph: GradedAlphabet, n: int):
+def _basis_keys(alph: GradedAlphabet, n: int, twice: bool = False):
     """The flat key of every basis word of the n-th tensor power, in the
-    lexicographic order of the words."""
+    lexicographic order of the words; with ``twice`` each word also fills
+    its key's basis field."""
     f = alph._letter_bits
+    spread = (1 << f * n) + 1 if twice else 1
     letters = range(1, alph.size + 1)
     return map(sum, itertools.product(
-        *[[a << (f * i) for a in letters] for i in range(n)]))
+        *[[(a << (f * i)) * spread for a in letters] for i in range(n)]))
 
 
 # -- word compilation and application ---------------------------------------
@@ -302,10 +318,10 @@ def _check_reach(top: int) -> None:
         )
 
 
-def _apply_steps(state: dict, steps, basis: int = 0, finished=None) -> dict:
+def _apply_steps(state: dict, steps, width: int = 0, finished=None) -> dict:
     """Run compiled ``steps`` on a flat state.  Step i drops each new branch
-    that differs from the word key ``basis`` on the bits ``finished[i]``;
-    with no ``finished`` nothing is dropped."""
+    whose word differs from its basis field, ``width`` bits above it, on the
+    bits ``finished[i]``; with no ``finished`` nothing is dropped."""
     for (shift, mask, table, _, _), done in zip(
             steps, finished or itertools.repeat(0)):
         new: dict[int, int] = {}
@@ -313,7 +329,7 @@ def _apply_steps(state: dict, steps, basis: int = 0, finished=None) -> dict:
         for key, c in state.items():
             for delta, coeff in table[(key >> shift) & mask]:
                 key2 = key + delta
-                if (key2 ^ basis) & done:
+                if ((key2 >> width) ^ key2) & done:
                     continue
                 value = get(key2, 0) + c * coeff
                 if value:
@@ -373,14 +389,15 @@ def apply_generator(sym, state: TensorState, alphabet: GradedAlphabet) -> Tensor
         _check_reach(max(max(key[1:], default=0) for key in keys)
                      + sum(step[4] for step in steps))
     width = alphabet._letter_bits * n
+    # the basis field stays 0
     raw = {
-        (key << width) + alphabet._word_key(w): v
+        (key << 2 * width) + alphabet._word_key(w): v
         for w, c in state.terms.items()
         for key, v in alphabet.poly_to_raw(c).items()
     }
     words: dict[int, dict] = {}
     for key, v in _apply_steps(raw, steps).items():
-        words.setdefault(key & ((1 << width) - 1), {})[key >> width] = v
+        words.setdefault(key & ((1 << width) - 1), {})[key >> 2 * width] = v
     return TensorState(n, {
         alphabet._word_of(w, n): alphabet.poly_from_raw(c) for w, c in words.items()
     })
@@ -388,8 +405,9 @@ def apply_generator(sym, state: TensorState, alphabet: GradedAlphabet) -> Tensor
 
 def _diagonal_sums(steps, n: int, alph: GradedAlphabet, ends) -> dict:
     """The exact diagonal entries of ``steps`` on every basis word, summed
-    by the tuple of the word's colors at the 0-based positions ``ends``.
-    Each step drops the branches that differ from the basis word at a
+    by the tuple of the word's colors at the 0-based positions ``ends``; no
+    group's sum is 0.  All basis words run through the steps in one state,
+    and each step drops the branches that differ from their basis word at a
     position no later step changes."""
     f = alph._letter_bits
     width = f * n
@@ -398,17 +416,33 @@ def _diagonal_sums(steps, n: int, alph: GradedAlphabet, ends) -> dict:
         finished.append(((1 << width) - 1) & ~later)
         later |= step[3]
     finished.reverse()
-    colors = alph.colors
+    diag = _apply_steps(dict.fromkeys(_basis_keys(alph, n, twice=True), 1),
+                        steps, width, finished)
+    # each surviving word is its basis word: keep the monomial and the
+    # letters at ends, then sum
     mask = (1 << f) - 1
+    keep = -1 << 2 * width
+    for j in ends:
+        keep |= mask << (f * j)
+    summed: dict[int, int] = {}
+    get = summed.get
+    for key, c in diag.items():
+        key &= keep
+        summed[key] = get(key, 0) + c
+    colors = alph.colors
+    groups: dict[int, dict] = {}  # the letters at ends -> their group's sum
     sums: dict[tuple, dict] = {}
-    for basis in _basis_keys(alph, n):
-        diag = _apply_steps({basis: 1}, steps, basis, finished)
-        if diag:
-            group = tuple([colors[(basis >> (f * j)) & mask] for j in ends])
-            # each key of diag is the basis word's plus its monomial's
-            _accumulate(sums.setdefault(group, {}), diag, -basis, 1)
-    return {group: {key >> width: c for key, c in acc.items()}
+    for key, c in summed.items():
+        letters = key & ((1 << width) - 1)
+        acc = groups.get(letters)
+        if acc is None:
+            group = tuple([colors[(key >> (f * j)) & mask] for j in ends])
+            acc = groups[letters] = sums.setdefault(group, {})
+        mono = key >> 2 * width
+        acc[mono] = acc.get(mono, 0) + c
+    sums = {group: {mono: c for mono, c in acc.items() if c}
             for group, acc in sums.items()}
+    return {group: acc for group, acc in sums.items() if acc}
 
 
 def trace_of_word(word, n: int, alphabet: GradedAlphabet) -> MultiPoly:
@@ -443,14 +477,19 @@ def char_value_oracle(mu, k, l) -> MultiPoly:
     alph, cache = _alphabet(k, l)
     parts = tuple(p for comp in mu for p in comp)
     ends = tuple(itertools.accumulate(parts))
-    sums = cache.get(parts)
-    if sums is None:
+    groups = cache.get(parts)
+    if groups is None:
         steps = _compile_word([sym for sym in word if sym[0] != "xi"], n, alph)
-        sums = cache[parts] = _diagonal_sums(steps, n, alph, [j - 1 for j in ends])
+        sums = _diagonal_sums(steps, n, alph, [j - 1 for j in ends])
+        # each group's u-field units at the block ends, with its diagonal sum
+        groups = cache[parts] = [
+            (tuple([alph._u_key(c) for c in group]), diag)
+            for group, diag in sums.items()
+        ]
+    powers = [scale.get(j, 0) for j in ends]
     total: dict[int, int] = {}
-    for group, diag in sums.items():
-        shift = sum(alph._u_key(c, scale.get(j, 0)) for c, j in zip(group, ends))
-        _accumulate(total, diag, shift, 1)
+    for units, diag in groups:
+        _accumulate(total, diag, sum([e * u for e, u in zip(powers, units)]), 1)
     return alph.poly_from_raw(total)
 
 
@@ -494,7 +533,7 @@ def _annihilator(word, n, alph, roots):
         state = {basis: 1}
         for key, coeff in roots:
             image = _apply_steps(state, steps)
-            _accumulate(image, state, key << width, -coeff)
+            _accumulate(image, state, key << 2 * width, -coeff)
             state = image
         return state
 
@@ -573,7 +612,7 @@ def check_shoji_presentation(n: int, k, l) -> list[dict]:
     # u_c - u_d scaled by 1 - q, for the colors c < d of two adjacent letters
     one_minus_q = MultiPoly.one(m) - MultiPoly.q_power(1, m)
     corr = {
-        (c, d): {key << width: v for key, v in alph.poly_to_raw(
+        (c, d): {key << 2 * width: v for key, v in alph.poly_to_raw(
             one_minus_q * (MultiPoly.u_power(c, m) - MultiPoly.u_power(d, m))
         ).items()}
         for c in range(1, m + 1)

@@ -254,19 +254,20 @@ def test_raw_state_keeps_no_cancelled_word():
 
 
 def _unpruned_diagonal_sums(steps, n, alph, ends):
-    """``_diagonal_sums`` through the same kernel with every finished mask
-    0: each basis word's whole image, then its entries on that word."""
+    """``_diagonal_sums`` by another route: each basis word on its own, with
+    a zero basis field and nothing dropped, then its image's entries on that
+    word, whose monomials sit at ``2 f n``."""
     width = alph._letter_bits * n
     sums = {}
     for w in itertools.product(range(1, alph.size + 1), repeat=n):
         basis = alph._word_key(w)
-        image = _apply_steps({basis: 1}, steps, basis, [0] * len(steps))
-        diag = {key >> width: c for key, c in image.items()
-                if key & ((1 << width) - 1) == basis}
+        image = _apply_steps({basis: 1}, steps)
+        diag = {key >> 2 * width: c for key, c in image.items()
+                if key & ((1 << 2 * width) - 1) == basis}
         if diag:
             group = tuple(alph.colors[w[j]] for j in ends)
             _accumulate(sums.setdefault(group, {}), diag, 0, 1)
-    return sums
+    return {group: acc for group, acc in sums.items() if acc}
 
 
 def test_pruning_keeps_every_diagonal_on_criterion_01_grid():
@@ -291,6 +292,46 @@ def test_pruning_keeps_every_diagonal_on_criterion_01_grid():
                         _unpruned_diagonal_sums(steps, n, alph, ends), (k, l, parts)
                     checked += 1
     assert checked > 1000
+
+
+@st.composite
+def negative_key_cases(draw):
+    """A ginv/swap-heavy word on an alphabet of 5 or 3 letters, n <= 4, and
+    the 0-based positions whose colors group the diagonal."""
+    k, l = draw(st.sampled_from([((2, 1), (1, 1)), ((1, 1), (0, 1))]))
+    n = draw(st.integers(2, 4))
+    braid = st.tuples(st.sampled_from(["ginv", "ginv", "ginv", "swap", "swap", "g"]),
+                      st.integers(1, n - 1))
+    xi = st.tuples(st.just("xi"), st.integers(1, n), st.integers(1, 2))
+    word = draw(st.lists(st.one_of(braid, braid, braid, xi), min_size=1, max_size=6))
+    ends = sorted(draw(st.sets(st.integers(0, n - 1), max_size=n)))
+    return GradedAlphabet(k, l), n, word, ends
+
+
+@settings(max_examples=60, deadline=None)
+@given(negative_key_cases())
+def test_one_pass_diagonal_matches_per_basis_reference(case):
+    # every basis word rides in its key's basis field through one state; a
+    # negative q-exponent makes the key negative, and the basis field, the
+    # word and the letters at ends must still read back exactly
+    alph, n, word, ends = case
+    steps = _compile_word(word, n, alph)
+    assert _diagonal_sums(steps, n, alph, ends) == \
+        _unpruned_diagonal_sums(steps, n, alph, ends), word
+
+
+def test_one_pass_diagonal_on_negative_keys():
+    # ginv_i^2 on an ascending pair has diagonal q^-1 - q^-2, so the keys of
+    # these words go negative on the 5-letter alphabet at n = 4
+    alph = GradedAlphabet((2, 1), (1, 1))
+    assert alph.size == 5
+    word = [("ginv", 1), ("ginv", 1), ("swap", 2), ("ginv", 3), ("ginv", 3), ("swap", 2)]
+    steps = _compile_word(word, 4, alph)
+    for ends in ([], [3], [0, 1, 2, 3], [1, 3]):
+        expected = _unpruned_diagonal_sums(steps, 4, alph, ends)
+        assert any(mono < 0 for acc in expected.values() for mono in acc)
+        assert len(expected) > 1 or not ends
+        assert _diagonal_sums(steps, 4, alph, ends) == expected, ends
 
 
 @st.composite
