@@ -13,11 +13,11 @@ b_n``, times the monomial ``q^e u_1^a_1 ... u_m^a_m`` is ``(mono << 2fn) +
 ``b`` the same way.  The word fills the low ``f n`` bits, ``f =
 K.bit_length()`` bits for each letter of an alphabet of K letters, and the
 basis word the next ``f n``; steps never change the basis field, and
-``apply_generator`` and the presentation checks leave it 0.  Above both sits
-the monomial key ``mono = (e << 8m) + sum a_i << 8(i-1)``: each u-exponent
-has an 8-bit field and q the signed top field, so the unit monomial is 0, a
-product of monomials is the sum of their keys, and a negative q-exponent
-makes the key negative without reaching a u-field or either word.
+``apply_generator`` leaves it 0.  Above both sits the monomial key ``mono =
+(e << 8m) + sum a_i << 8(i-1)``: each u-exponent has an 8-bit field and q
+the signed top field, so the unit monomial is 0, a product of monomials is
+the sum of their keys, and a negative q-exponent makes the key negative
+without reaching a u-field or either word.
 
 A compiled step acts at one position through a table indexed by the letter
 there (a color scaling) or the letter pair there (a swap), read as ``(key >>
@@ -28,7 +28,8 @@ the swap tables of ``_ensure_tables`` and the letter shifts of
 ``_omega_shifts``, once per alphabet and size n.  One loop,
 ``_apply_steps``, runs every step, and no state stores a zero.  Each
 presentation check lists its relations as data, a name and two sides, and
-one loop checks them on every basis word.
+each side runs once on a state that holds every basis word in its key's
+basis field, so one pass per side checks the relation on all basis words.
 
 One pass, ``_diagonal_sums``, traces every basis word at once;
 ``trace_of_word`` and the oracle both call it.  Its start state holds each
@@ -42,16 +43,19 @@ G``: ``G``, the braid generators, depends only on the part sequence, and
 ``D``, the block-end color scalings, is diagonal.  So the exact diagonal of
 ``G`` is summed once per part sequence and alphabet, grouped by the colors
 at the block ends, and each multipartition shifts each group's sum by its
-own u-monomial.
+own u-monomial.  Per call the oracle does only per-case work: the shape it
+reads of the standard word (``n``, the part sequence, the block ends, D's
+powers there and G's symbols) is cached by the checked multipartition, and a
+packed monomial's decoding, which depends only on the color count m, is kept
+in one table per m that every alphabet with m colors shares.
 """
 from __future__ import annotations
 
 import itertools
 from functools import lru_cache
+from operator import mul
 
-from .combinat import (
-    check_alphabet, check_int, check_multipartition, mp_size, word_hecke,
-)
+from .combinat import check_alphabet, check_int, check_multipartition, word_hecke
 from .rings import MultiPoly
 
 __all__ = [
@@ -65,6 +69,10 @@ __all__ = [
 ]
 
 _FIELD_BITS = 8
+
+# the decoded monomial of each packed key, one table per color count m: a
+# key's decoding depends only on m, so every alphabet with m colors shares it
+_MONOMIALS: dict[int, dict[int, tuple]] = {}
 
 
 class GradedAlphabet:
@@ -99,7 +107,7 @@ class GradedAlphabet:
         self._letter_bits = self.size.bit_length()
         self._tables = None
         self._steps: dict[tuple, tuple] = {}
-        self._monomials: dict[int, tuple] = {}
+        self._monomials = _MONOMIALS.setdefault(self.m, {})
 
     # -- packed-exponent helpers --------------------------------------
 
@@ -122,7 +130,7 @@ class GradedAlphabet:
         return {self._encode(key[0], key[1:]): c for key, c in p.terms.items()}
 
     def poly_from_raw(self, raw: dict[int, int]) -> MultiPoly:
-        # each packed monomial is decoded once per alphabet
+        # each packed monomial is decoded once per color count
         monomials = self._monomials
         terms = {}
         for key, c in raw.items():
@@ -461,76 +469,94 @@ def _alphabet(k, l) -> tuple[GradedAlphabet, dict]:
     return GradedAlphabet(k, l), {}
 
 
+@lru_cache(maxsize=1024)
+def _shape(mu) -> tuple:
+    """What the oracle reads of the standard word ``word_hecke(mu) = D G``
+    of a checked multipartition: ``(n, parts, ends, powers, braid)``, with
+    ``ends`` the 0-based block ends, ``powers`` the power of D's color
+    scaling at each end (0 for component 1) and ``braid`` the symbols of G.
+    A shape that is empty or whose u-exponents may leave their packed
+    fields raises, on every call."""
+    parts = tuple(p for comp in mu for p in comp)
+    n = sum(parts)
+    if n < 1:
+        raise ValueError("the multipartition must have positive size")
+    word = word_hecke(mu)
+    scale = {sym[1]: sym[2] for sym in word if sym[0] == "xi"}
+    _check_reach(sum(scale.values()))
+    ends = tuple(itertools.accumulate(parts))
+    return (n, parts, tuple(j - 1 for j in ends),
+            tuple(scale.get(j, 0) for j in ends),
+            tuple(sym for sym in word if sym[0] != "xi"))
+
+
 def char_value_oracle(mu, k, l) -> MultiPoly:
     """Brute-force character value, a fresh one: the trace of the standard
     word ``word_hecke(mu) = D G`` on the full tensor power.  ``D``, its
     ``xi`` symbols, is diagonal, so ``<w|D G|w>`` is ``<w|G|w>`` times
     ``u_c^e`` for each ``xi_j^e``, c the color of w at position j."""
     k, l = check_alphabet(k, l)
-    mu = check_multipartition(mu, len(k))
-    n = mp_size(mu)
-    if n < 1:
-        raise ValueError("the multipartition must have positive size")
-    word = word_hecke(mu)
-    scale = {sym[1]: sym[2] for sym in word if sym[0] == "xi"}
-    _check_reach(sum(scale.values()))
+    n, parts, ends, powers, braid = _shape(check_multipartition(mu, len(k)))
     alph, cache = _alphabet(k, l)
-    parts = tuple(p for comp in mu for p in comp)
-    ends = tuple(itertools.accumulate(parts))
     groups = cache.get(parts)
     if groups is None:
-        steps = _compile_word([sym for sym in word if sym[0] != "xi"], n, alph)
-        sums = _diagonal_sums(steps, n, alph, [j - 1 for j in ends])
+        sums = _diagonal_sums(_compile_word(braid, n, alph), n, alph, ends)
         # each group's u-field units at the block ends, with its diagonal sum
         groups = cache[parts] = [
             (tuple([alph._u_key(c) for c in group]), diag)
             for group, diag in sums.items()
         ]
-    powers = [scale.get(j, 0) for j in ends]
     total: dict[int, int] = {}
     for units, diag in groups:
-        _accumulate(total, diag, sum([e * u for e, u in zip(powers, units)]), 1)
+        _accumulate(total, diag, sum(map(mul, powers, units)), 1)
     return alph.poly_from_raw(total)
 
 
 # -- presentation checks ------------------------------------------------------
 
-def _zero(basis):
+def _zero(state):
     return {}
 
 
 def _runner(word, n, alph):
+    """Flat state -> ``word`` applied to it."""
     steps = _compile_word(word, n, alph)
-    return lambda basis: _apply_steps({basis: 1}, steps)
+    return lambda state: _apply_steps(state, steps)
 
 
 def _report(alph, n, relations) -> list[dict]:
     """Check each ``(name, lhs, rhs)`` relation on every basis word, in
-    order.  A side is an operator word or a callable from a basis word's key
-    to a flat state; a failure's witness is the first basis word on which
-    the two sides differ."""
+    order.  A side is an operator word or a callable from a flat state to a
+    flat state.  Each side runs once, on a state that holds every basis word
+    in its key's basis field; a failure's witness is the first basis word
+    whose field the two sides' images differ on."""
+    width = alph._letter_bits * n
+    field = ((1 << width) - 1) << width
+    start = dict.fromkeys(_basis_keys(alph, n, twice=True), 1)
     report: list[dict] = []
     for name, *sides in relations:
         lhs, rhs = (s if callable(s) else _runner(s, n, alph) for s in sides)
+        left, right = lhs(start), rhs(start)
         witness = None
-        for basis in _basis_keys(alph, n):
-            if lhs(basis) != rhs(basis):
-                witness = list(alph._word_of(basis, n))
-                break
+        if left != right:
+            # the mask reads the basis field of a negative key too
+            differ = {key & field for key in left.keys() | right.keys()
+                      if left.get(key) != right.get(key)}
+            basis = next(b for b in _basis_keys(alph, n) if b << width in differ)
+            witness = list(alph._word_of(basis, n))
         report.append({"relation": name, "status": "fail" if witness else "pass",
                        "witness": witness})
     return report
 
 
 def _annihilator(word, n, alph, roots):
-    """Basis word -> the product of (X - r) over the ``roots`` applied to it,
+    """Flat state -> the product of (X - r) over the ``roots`` applied to it,
     where X acts by ``word`` and each root is a monomial ``(key, coeff)``;
-    zero on every word when that polynomial annihilates X."""
+    the empty state on every state when that polynomial annihilates X."""
     steps = _compile_word(word, n, alph)
     width = alph._letter_bits * n
 
-    def lhs(basis):
-        state = {basis: 1}
+    def lhs(state):
         for key, coeff in roots:
             image = _apply_steps(state, steps)
             _accumulate(image, state, key << 2 * width, -coeff)
@@ -541,18 +567,22 @@ def _annihilator(word, n, alph, roots):
 
 
 def _exchange(word, n, alph, j, corr, sign):
-    """Basis word w -> ``word`` applied to w, plus ``sign * corr[c, d] * w``
-    when the letters of w at positions j, j+1 have colors (c, d) in ``corr``,
-    a flat state on the word key 0."""
+    """Flat state -> ``word`` applied to it, plus ``sign * corr[c, d]`` times
+    each of its terms whose word has letters of colors (c, d) in ``corr`` at
+    positions j, j+1; each ``corr`` entry is a flat state on the word key 0."""
     run = _runner(word, n, alph)
+    f = alph._letter_bits
+    mask = (1 << f) - 1
+    colors = alph.colors
 
-    def rhs(basis):
-        c, d = (alph.colors[a] for a in alph._word_of(basis, n)[j - 1:j + 1])
-        factor = corr.get((c, d))
-        state = run(basis)
-        if factor:
-            _accumulate(state, factor, basis, sign)
-        return state
+    def rhs(state):
+        image = run(state)
+        for key, c in state.items():
+            factor = corr.get((colors[(key >> f * (j - 1)) & mask],
+                               colors[(key >> f * j) & mask]))
+            if factor:
+                _accumulate(image, factor, key, sign * c)
+        return image
 
     return rhs
 

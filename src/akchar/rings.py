@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
+from operator import mul
 
 from .combinat import check_int
 
@@ -721,9 +722,9 @@ def specialize_to_group(p: MultiPoly, m: int) -> CycloElem:
     if p.m != m:
         raise ValueError(f"u-variable count mismatch: polynomial has {p.m}, modulus {m}")
     acc = [0] * m
+    weights = (0, *range(m))  # q -> 1 and u_i -> x**(i-1)
     for key, coeff in p.terms.items():
-        e = sum((i - 1) * key[i] for i in range(1, m + 1)) % m
-        acc[e] += coeff
+        acc[sum(map(mul, key, weights)) % m] += coeff
     return CycloElem._raw(m, _cyclo_reduce(acc, m))
 
 

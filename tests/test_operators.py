@@ -1,3 +1,4 @@
+import functools
 import gc
 import itertools
 import random
@@ -10,12 +11,19 @@ from akchar.combinat import (
 )
 from akchar.formulas import CharSpec, group_character_value
 from akchar.operators import (
+    _MONOMIALS,
     GradedAlphabet,
     TensorState,
     _accumulate,
+    _alphabet,
+    _annihilator,
     _apply_steps,
     _compile_word,
     _diagonal_sums,
+    _exchange,
+    _report,
+    _shape,
+    _zero,
     apply_generator,
     char_value_oracle,
     check_ak_presentation,
@@ -588,6 +596,48 @@ class TestOracle:
             specialize_to_group(value, 2)  # must not raise
 
 
+class TestOracleCaches:
+    """The shape cache, keyed by the checked multipartition, and the
+    monomial tables, one per color count, are shared by every alphabet."""
+
+    def test_values_survive_clearing_the_caches(self):
+        # the two alphabets share m = 2 but have 3 and 5 letters, so their
+        # letter fields differ in width; visiting them in turn evicts the
+        # one-entry alphabet cache on every call
+        alphabets = [((1, 1), (1, 0)), ((2, 1), (1, 1))]
+        cases = [(mu, k, l) for n in range(1, 4)
+                 for mu in list_multipartitions(2, n) for k, l in alphabets]
+        first = [char_value_oracle(mu, k, l) for mu, k, l in cases]
+        _alphabet.cache_clear()
+        _shape.cache_clear()
+        _MONOMIALS.clear()
+        again = [char_value_oracle(mu, k, l) for mu, k, l in reversed(cases)]
+        assert again[::-1] == first
+        for (mu, k, l), value in zip(cases, first):
+            n = sum(map(sum, mu))
+            assert value == trace_of_word(word_hecke(mu), n, GradedAlphabet(k, l)), \
+                (mu, k, l)
+
+    def test_list_form_matches_tuple_form(self):
+        assert char_value_oracle([[2, 1], [1]], [1, 1], [1, 0]) == \
+            char_value_oracle(((2, 1), (1,)), (1, 1), (1, 0))
+
+    @pytest.mark.parametrize("mu", [((0,),), ((True,),), ((1.0,),)])
+    def test_bad_parts_raise_after_a_valid_shape_is_cached(self, mu):
+        # True and 1.0 hash like 1, so only the check keeps them out of the
+        # cached shape of ((1,),)
+        assert char_value_oracle(((1,),), (1,), (1,)) == 2
+        with pytest.raises(ValueError, match="positive integers"):
+            char_value_oracle(mu, (1,), (1,))
+
+    def test_bad_shapes_raise_on_every_call(self):
+        for _ in range(2):
+            with pytest.raises(ValueError, match="u-exponents may reach 256"):
+                char_value_oracle(((), (1,) * 256), (1, 0), (0, 0))
+            with pytest.raises(ValueError, match="positive size"):
+                char_value_oracle(((), ()), (1, 1), (1, 1))
+
+
 def _assert_all_pass(report, context):
     bad = [entry for entry in report if entry["status"] != "pass"]
     assert not bad, (context, bad)
@@ -605,6 +655,139 @@ def _break(monkeypatch, method, mutate):
         GradedAlphabet, method,
         lambda self, *args: mutate(self, original(self, *args), *args),
     )
+
+
+def _per_basis_report(alph, n, relations):
+    """``_report`` by another route: each basis word on its own, with a zero
+    basis field, in lexicographic order; a failure's witness is the first
+    word whose two images differ."""
+    report = []
+    for name, lhs, rhs in relations:
+        sides = []
+        for side in (lhs, rhs):
+            if not callable(side):
+                side = functools.partial(_apply_steps, steps=_compile_word(side, n, alph))
+            sides.append(side)
+        witness = None
+        for w in itertools.product(range(1, alph.size + 1), repeat=n):
+            basis = alph._word_key(w)
+            if sides[0]({basis: 1}) != sides[1]({basis: 1}):
+                witness = list(w)
+                break
+        report.append({"relation": name, "status": "fail" if witness else "pass",
+                       "witness": witness})
+    return report
+
+
+def _nudged(word, n, alph, j, letter):
+    """Flat state -> ``word`` applied to it, minus q^-1 times each of its
+    terms whose word has ``letter`` at position j: off by negative keys on
+    those words alone."""
+    steps = _compile_word(word, n, alph)
+    f = alph._letter_bits
+    nudge = {alph._encode(-1, ()) << 2 * f * n: -1}
+
+    def side(state):
+        image = _apply_steps(state, steps)
+        for key, c in state.items():
+            if (key >> f * (j - 1)) & ((1 << f) - 1) == letter:
+                _accumulate(image, nudge, key, c)
+        return image
+
+    return side
+
+
+@st.composite
+def relation_cases(draw):
+    """An alphabet of at most 5 letters, n <= 3 and relations whose sides
+    are ginv-heavy words, so that keys go negative, or the flat-state
+    annihilator, exchange, nudge and zero sides.  Some pairs of sides are
+    equal, and some differ only on some words: those with two colors where
+    g and swap act, an ascending color pair at the exchange, or a given
+    letter where a nudge differs by negative keys alone."""
+    k, l = draw(st.sampled_from([((2, 1), (1, 1)), ((1, 1), (0, 1)), ((1,), (1,)),
+                                 ((1, 0, 1), (0, 1, 0))]))
+    alph = GradedAlphabet(k, l)
+    m = alph.m
+    n = draw(st.sampled_from([1, 2, 2, 3, 3]))
+    xi = st.tuples(st.just("xi"), st.integers(1, n), st.integers(1, 2))
+    symbol = xi
+    if n >= 2:
+        braid = st.tuples(st.sampled_from(["ginv", "ginv", "ginv", "swap", "g"]),
+                          st.integers(1, n - 1))
+        symbol = st.one_of(braid, braid, braid, xi)
+    words = st.lists(symbol, min_size=1, max_size=5).map(tuple)
+    width = alph._letter_bits * n
+    one_minus_q = MultiPoly.one(m) - MultiPoly.q_power(1, m)
+    corr = {
+        (c, d): {key << 2 * width: v for key, v in alph.poly_to_raw(
+            one_minus_q * (MultiPoly.u_power(c, m) - MultiPoly.u_power(d, m))
+        ).items()}
+        for c in range(1, m + 1) for d in range(c + 1, m + 1)
+    }
+    kinds = ["word", "same", "annihilator", "nudge", "nudge"]
+    if n >= 2:
+        kinds += ["identity", "g-or-swap", "g-or-swap", "exchange", "exchange"]
+    relations = []
+    for i in range(draw(st.integers(1, 4))):
+        lhs = draw(words)
+        kind = draw(st.sampled_from(kinds))
+        if kind == "word":
+            rhs = draw(words)
+        elif kind == "same":
+            rhs = lhs
+        elif kind == "nudge":
+            rhs = _nudged(lhs, n, alph, draw(st.integers(1, n)),
+                          draw(st.integers(1, alph.size)))
+        elif kind == "annihilator":
+            roots = [(alph._u_key(c), 1) for c in range(1, m + 1)]
+            if draw(st.booleans()):
+                lhs = (("xi", draw(st.integers(1, n)), 1),)
+            lhs, rhs = _annihilator(lhs, n, alph, roots), _zero
+        else:
+            j = draw(st.integers(1, n - 1))
+            cut = draw(st.integers(0, len(lhs)))
+            head, tail = lhs[:cut], lhs[cut:]
+            if kind == "identity":  # g_j ginv_j is the identity
+                rhs = head + (("g", j), ("ginv", j)) + tail
+            elif kind == "g-or-swap":  # equal on letters of one color
+                lhs, rhs = head + (("g", j),) + tail, head + (("swap", j),) + tail
+            else:  # the exchange relation, true for sign 1
+                lhs = (("g", j), ("xi", j, 1))
+                rhs = _exchange((("xi", j + 1, 1), ("g", j)), n, alph, j, corr,
+                                draw(st.sampled_from([1, -1])))
+        relations.append((f"r{i}", lhs, rhs))
+    return alph, n, relations
+
+
+@settings(max_examples=60, deadline=None)
+@given(relation_cases())
+def test_one_pass_report_matches_per_basis_reference(case):
+    # each side runs once with every basis word in its key's basis field; the
+    # status and the first witness must match the per-basis loop
+    alph, n, relations = case
+    assert _report(alph, n, relations) == _per_basis_report(alph, n, relations)
+
+
+def test_flat_sides_are_linear():
+    # each side maps any flat state, not just a sum of unit basis terms: on
+    # a state with several coefficients and monomials, the image is the sum
+    # of the images of its terms
+    alph = GradedAlphabet((1, 1), (1, 0))
+    n, width = 2, alph._letter_bits * 2
+    corr = {(1, 2): {alph._encode(1, (1, 0)) << 2 * width: 5}}
+    roots = [(alph._u_key(1), 1), (alph._encode(-1, ()), 3)]
+    state = {}
+    for i, w in enumerate(itertools.product(range(1, alph.size + 1), repeat=n)):
+        mono = alph._encode(i % 3 - 1, (i % 2, 0)) << 2 * width
+        state[mono + alph._word_key(w)] = i - 4 or 7
+    sides = [_exchange((("xi", 2, 1), ("g", 1)), n, alph, 1, corr, -1),
+             _annihilator((("ginv", 1),), n, alph, roots)]
+    for side in sides:
+        expected = {}
+        for key, c in state.items():
+            _accumulate(expected, side({key: 1}), 0, c)
+        assert side(state) == expected
 
 
 class TestPresentations:

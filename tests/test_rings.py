@@ -298,6 +298,18 @@ def test_specialize_is_ring_map(case):
 
 
 @settings(max_examples=60, deadline=None)
+@given(st.integers(1, 4).flatmap(lambda m: st.tuples(st.just(m), multipolys(m))))
+def test_specialize_matches_termwise_reference(case):
+    # q^e u_1^a_1 ... u_m^a_m -> x^(sum (i-1) a_i), whatever the sign of e
+    m, p = case
+    expected = CycloElem.from_int(m, 0)
+    for key, coeff in p.terms.items():
+        expected += coeff * CycloElem.x_power(
+            m, sum((i - 1) * a for i, a in enumerate(key[1:], start=1)))
+    assert specialize_to_group(p, m) == expected
+
+
+@settings(max_examples=60, deadline=None)
 @given(
     st.integers(1, 3).flatmap(lambda m: st.tuples(multipolys(m), multipolys(m))),
     st.integers(1, 4),
