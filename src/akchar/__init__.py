@@ -29,8 +29,6 @@ from .formulas import (
 )
 from .operators import (
     GradedAlphabet,
-    TensorState,
-    apply_generator,
     char_value_oracle,
     check_ak_presentation,
     check_shoji_presentation,
@@ -52,9 +50,7 @@ __all__ = [
     "CycloElem",
     "GradedAlphabet",
     "MultiPoly",
-    "TensorState",
     "TruncSeries",
-    "apply_generator",
     "bracket",
     "char_value_oracle",
     "character_value",

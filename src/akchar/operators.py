@@ -12,24 +12,24 @@ b_n``, times the monomial ``q^e u_1^a_1 ... u_m^a_m`` is ``(mono << 2fn) +
 (basis << fn) + word``, where ``word = sum w_i << f(i-1)`` and ``basis`` packs
 ``b`` the same way.  The word fills the low ``f n`` bits, ``f =
 K.bit_length()`` bits for each letter of an alphabet of K letters, and the
-basis word the next ``f n``; steps never change the basis field, and
-``apply_generator`` leaves it 0.  Above both sits the monomial key ``mono =
-(e << 8m) + sum a_i << 8(i-1)``: each u-exponent has an 8-bit field and q
-the signed top field, so the unit monomial is 0, a product of monomials is
-the sum of their keys, and a negative q-exponent makes the key negative
-without reaching a u-field or either word.
+basis word the next ``f n``, which steps never change.  Above both sits the
+monomial key ``mono = (e << 8m) + sum a_i << 8(i-1)``: each u-exponent has
+an 8-bit field and q the signed top field, so the unit monomial is 0, a
+product of monomials is the sum of their keys, and a negative q-exponent
+makes the key negative without reaching a u-field or either word.
 
 A compiled step acts at one position through a table indexed by the letter
 there (a color scaling) or the letter pair there (a swap), read as ``(key >>
 shift) & mask``.  Each entry is a tuple of ``(key delta, integer
 coefficient)`` terms, so the step adds ``c * coeff`` under ``key + delta``
-for each term, and no word tuple is rebuilt.  The tables are derived from
-the swap tables of ``_ensure_tables`` and the letter shifts of
-``_omega_shifts``, once per alphabet and size n.  One loop,
-``_apply_steps``, runs every step, and no state stores a zero.  Each
-presentation check lists its relations as data, a name and two sides, and
-each side runs once on a state that holds every basis word in its key's
-basis field, so one pass per side checks the relation on all basis words.
+for each term, and no word tuple is rebuilt.  The tables are built once per
+alphabet and size n, from the letter shifts of ``_omega_shifts`` and from
+``_terms``, which states what ``g``, ``ginv`` and ``swap`` do to one letter
+pair.  One loop, ``_apply_steps``, runs every step, and no state stores a
+zero.  Each presentation check lists its relations as data, a name and two
+sides, and each side runs once on a state that holds every basis word in
+its key's basis field, so one pass per side checks the relation on all
+basis words.
 
 One pass, ``_diagonal_sums``, traces every basis word at once;
 ``trace_of_word`` and the oracle both call it.  Its start state holds each
@@ -60,8 +60,6 @@ from .rings import MultiPoly
 
 __all__ = [
     "GradedAlphabet",
-    "TensorState",
-    "apply_generator",
     "trace_of_word",
     "char_value_oracle",
     "check_ak_presentation",
@@ -85,7 +83,7 @@ class GradedAlphabet:
 
     __slots__ = (
         "k", "l", "m", "size", "colors", "parities",
-        "_shift", "_letter_bits", "_tables", "_steps", "_monomials",
+        "_shift", "_letter_bits", "_steps", "_monomials",
     )
 
     def __init__(self, k, l):
@@ -105,7 +103,6 @@ class GradedAlphabet:
         self.parities = tuple(parities)
         self._shift = _FIELD_BITS * self.m
         self._letter_bits = self.size.bit_length()
-        self._tables = None
         self._steps: dict[tuple, tuple] = {}
         self._monomials = _MONOMIALS.setdefault(self.m, {})
 
@@ -149,51 +146,25 @@ class GradedAlphabet:
             self._u_key(self.colors[letter], e) for letter in range(1, self.size + 1)
         )
 
-    def _ensure_tables(self):
-        if self._tables is not None:
-            return self._tables
-        q = self._encode(1, ())
-        qinv = self._encode(-1, ())
-        K = self.size
-        t_tab = [None] * (K + 1)
-        tinv_tab = [None] * (K + 1)
-        s_tab = [None] * (K + 1)
-        for a in range(1, K + 1):
-            t_row = [None] * (K + 1)
-            tinv_row = [None] * (K + 1)
-            s_row = [None] * (K + 1)
-            for b in range(1, K + 1):
-                sign = -1 if self.parities[a] and self.parities[b] else 1
-                if a < b:
-                    # ascending swap is q-free; the descending swap carries q,
-                    # which is what makes T^2 = (1-q)T + q and T T^-1 = 1 hold
-                    t_entry = (((a, b), 0, 1), ((a, b), q, -1), ((b, a), 0, sign))
-                    tinv_entry = (((b, a), qinv, sign),)
-                elif a == b:
-                    # -q and -q^-1 on an odd letter, 1 on an even one
-                    t_entry = (((a, a), q if sign < 0 else 0, sign),)
-                    tinv_entry = (((a, a), qinv if sign < 0 else 0, sign),)
-                else:
-                    t_entry = (((b, a), q, sign),)
-                    tinv_entry = (
-                        ((a, b), 0, 1), ((a, b), qinv, -1), ((b, a), 0, sign),
-                    )
-                if self.colors[a] == self.colors[b]:
-                    s_entry = t_entry
-                else:
-                    # cross-color swap: T without its (1-q) diagonal part; the
-                    # descending branch keeps the same q as T, which is what
-                    # gives the composite cyclotomic generator eigenvalues
-                    # u_1, ..., u_m
-                    s_entry = (((b, a), 0 if a < b else q, sign),)
-                t_row[b] = t_entry
-                tinv_row[b] = tinv_entry
-                s_row[b] = s_entry
-            t_tab[a] = t_row
-            tinv_tab[a] = tinv_row
-            s_tab[a] = s_row
-        self._tables = (t_tab, tinv_tab, s_tab)
-        return self._tables
+    def _terms(self, tag: str, a: int, b: int) -> tuple:
+        """The ``((x, y), e, coeff)`` terms of the braid symbol ``tag`` on the
+        adjacent letters a, b: it sends them to ``coeff q^e`` times x, y.
+        T carries 1 - q on an ascending pair and q on a descending one, which
+        is what makes T^2 = (1-q)T + q and T T^-1 = 1 hold.  The plain swap is
+        T within a color; across colors it is T without its (1-q) part, and
+        its descending branch keeps T's q, which gives the composite
+        cyclotomic generator the eigenvalues u_1, ..., u_m."""
+        sign = -1 if self.parities[a] and self.parities[b] else 1
+        if tag == "swap":
+            if self.colors[a] != self.colors[b]:
+                return (((b, a), int(a > b), sign),)
+            tag = "g"
+        d = 1 if tag == "g" else -1  # the q-exponent of T or of T^-1
+        if a == b:  # -q^d on an odd letter, 1 on an even one
+            return (((a, a), d if sign < 0 else 0, sign),)
+        if (a < b) == (d > 0):
+            return (((a, b), 0, 1), ((a, b), d, -1), ((b, a), 0, sign))
+        return (((b, a), d, sign),)
 
     # -- flat keys and compiled steps ---------------------------------
 
@@ -212,7 +183,7 @@ class GradedAlphabet:
         ``moves`` holds the word bits the step may change and ``e`` is the
         power of a color scaling (0 for a swap).  Built once per alphabet
         and n; the first swap of a kind builds that kind at every position
-        from one read of the swap tables."""
+        from one ``_terms`` call per letter pair."""
         step = self._steps.get((n, tag, pos, e))
         if step is not None:
             return step
@@ -226,19 +197,17 @@ class GradedAlphabet:
                 table[a] = ((shifts[a] << above, 1),)
             step = self._steps[n, tag, pos, e] = (f * pos, (1 << f) - 1, table, 0, e)
             return step
-        t_tab, tinv_tab, s_tab = self._ensure_tables()
-        source = t_tab if tag == "g" else tinv_tab if tag == "ginv" else s_tab
+        rules = {(a, b): self._terms(tag, a, b) for a in letters for b in letters}
+        q_at = self._shift + above
         mask = (1 << 2 * f) - 1
         for i in range(n - 1):
             shift = f * i
             table = [None] * (mask + 1)
-            for a in letters:
-                row = source[a]
-                for b in letters:
-                    table[a + (b << f)] = tuple([
-                        ((key << above) + ((x - a + ((y - b) << f)) << shift), coeff)
-                        for (x, y), key, coeff in row[b]
-                    ])
+            for (a, b), terms in rules.items():
+                table[a + (b << f)] = tuple([
+                    ((eq << q_at) + ((x - a + ((y - b) << f)) << shift), coeff)
+                    for (x, y), eq, coeff in terms
+                ])
             self._steps[n, tag, i, 0] = (shift, mask, table, mask << shift, 0)
         return self._steps[n, tag, pos, e]
 
@@ -259,12 +228,11 @@ def _accumulate(acc: dict, c: dict, key: int, coeff: int) -> None:
             del acc[k]
 
 
-def _basis_keys(alph: GradedAlphabet, n: int, twice: bool = False):
-    """The flat key of every basis word of the n-th tensor power, in the
-    lexicographic order of the words; with ``twice`` each word also fills
-    its key's basis field."""
+def _basis_keys(alph: GradedAlphabet, n: int):
+    """The flat key of every basis word of the n-th tensor power, the word
+    in both its key's word field and its basis field."""
     f = alph._letter_bits
-    spread = (1 << f * n) + 1 if twice else 1
+    spread = (1 << f * n) + 1
     letters = range(1, alph.size + 1)
     return map(sum, itertools.product(
         *[[(a << (f * i)) * spread for a in letters] for i in range(n)]))
@@ -348,69 +316,6 @@ def _apply_steps(state: dict, steps, width: int = 0, finished=None) -> dict:
     return state
 
 
-class TensorState:
-    """Sparse vector in the tensor power: basis words with MultiPoly weights."""
-
-    __slots__ = ("n", "terms")
-
-    def __init__(self, n: int, terms=None):
-        clean = {}
-        for word, coeff in (terms or {}).items():
-            word = tuple(word)
-            if len(word) != n:
-                raise ValueError(f"basis word {word} does not have length {n}")
-            if not isinstance(coeff, MultiPoly):
-                raise ValueError("coefficients must be MultiPoly values")
-            if coeff:
-                clean[word] = coeff
-        self.n = n
-        self.terms = clean
-
-    @classmethod
-    def unit(cls, word, m: int) -> "TensorState":
-        word = tuple(word)
-        return cls(len(word), {word: MultiPoly.one(m)})
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, TensorState):
-            return NotImplemented
-        return self.n == other.n and self.terms == other.terms
-
-    def __repr__(self) -> str:
-        inner = ", ".join(
-            f"{word}: {coeff.to_text()}" for word, coeff in sorted(self.terms.items())
-        )
-        return f"TensorState(n={self.n}, {{{inner}}})"
-
-
-def apply_generator(sym, state: TensorState, alphabet: GradedAlphabet) -> TensorState:
-    """Apply one operator symbol: ('g', i), ('ginv', i), ('swap', i),
-    ('xi', j, e) or ('g0',)."""
-    for word in state.terms:
-        for letter in word:
-            if not 1 <= letter <= alphabet.size:
-                raise ValueError(f"letter {letter} outside the alphabet")
-    n = state.n
-    steps = _compile_word((sym,), n, alphabet)
-    keys = [key for c in state.terms.values() for key in c.terms]
-    if keys:
-        _check_reach(max(max(key[1:], default=0) for key in keys)
-                     + sum(step[4] for step in steps))
-    width = alphabet._letter_bits * n
-    # the basis field stays 0
-    raw = {
-        (key << 2 * width) + alphabet._word_key(w): v
-        for w, c in state.terms.items()
-        for key, v in alphabet.poly_to_raw(c).items()
-    }
-    words: dict[int, dict] = {}
-    for key, v in _apply_steps(raw, steps).items():
-        words.setdefault(key & ((1 << width) - 1), {})[key >> 2 * width] = v
-    return TensorState(n, {
-        alphabet._word_of(w, n): alphabet.poly_from_raw(c) for w, c in words.items()
-    })
-
-
 def _diagonal_sums(steps, n: int, alph: GradedAlphabet, ends) -> dict:
     """The exact diagonal entries of ``steps`` on every basis word, summed
     by the tuple of the word's colors at the 0-based positions ``ends``; no
@@ -424,7 +329,7 @@ def _diagonal_sums(steps, n: int, alph: GradedAlphabet, ends) -> dict:
         finished.append(((1 << width) - 1) & ~later)
         later |= step[3]
     finished.reverse()
-    diag = _apply_steps(dict.fromkeys(_basis_keys(alph, n, twice=True), 1),
+    diag = _apply_steps(dict.fromkeys(_basis_keys(alph, n), 1),
                         steps, width, finished)
     # each surviving word is its basis word: keep the monomial and the
     # letters at ends, then sum
@@ -454,8 +359,9 @@ def _diagonal_sums(steps, n: int, alph: GradedAlphabet, ends) -> dict:
 
 
 def trace_of_word(word, n: int, alphabet: GradedAlphabet) -> MultiPoly:
-    """Exact trace of any operator word over all basis words of the n-th
-    tensor power; its symbols are those of ``apply_generator``."""
+    """Exact trace of an operator word over all basis words of the n-th
+    tensor power.  Its symbols are ``('g', i)``, ``('ginv', i)``, ``('swap',
+    i)``, ``('xi', j, e)`` and ``('g0',)``."""
     steps = _compile_word(word, n, alphabet)
     _check_reach(sum(step[4] for step in steps))
     return alphabet.poly_from_raw(
@@ -531,19 +437,18 @@ def _report(alph, n, relations) -> list[dict]:
     in its key's basis field; a failure's witness is the first basis word
     whose field the two sides' images differ on."""
     width = alph._letter_bits * n
-    field = ((1 << width) - 1) << width
-    start = dict.fromkeys(_basis_keys(alph, n, twice=True), 1)
+    start = dict.fromkeys(_basis_keys(alph, n), 1)
     report: list[dict] = []
     for name, *sides in relations:
         lhs, rhs = (s if callable(s) else _runner(s, n, alph) for s in sides)
         left, right = lhs(start), rhs(start)
         witness = None
         if left != right:
-            # the mask reads the basis field of a negative key too
-            differ = {key & field for key in left.keys() | right.keys()
-                      if left.get(key) != right.get(key)}
-            basis = next(b for b in _basis_keys(alph, n) if b << width in differ)
-            witness = list(alph._word_of(basis, n))
+            # the shift and _word_of's mask read the basis field of a
+            # negative key too
+            witness = list(min(alph._word_of(key >> width, n)
+                               for key in left.keys() | right.keys()
+                               if left.get(key) != right.get(key)))
         report.append({"relation": name, "status": "fail" if witness else "pass",
                        "witness": witness})
     return report

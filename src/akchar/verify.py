@@ -65,17 +65,28 @@ def _ms(m_values, m_only):
 
 def _ns(n_lo, n_hi, max_n, n_only):
     hi = max_n if max_n is not None else n_hi
-    return [n for n in range(n_lo, hi + 1) if n_only is None or n == n_only]
+    if n_only is not None:
+        return [n_only] if n_lo <= n_only <= hi else []
+    return list(range(n_lo, hi + 1))
 
 
-def suite_oracle(max_n=None, m_only=None, n_only=None) -> SuiteResult:
-    """Closed form versus brute-force trace, as canonical polynomials."""
+def _character_cases(m_values, max_n, m_only, n_only):
+    """The ``(mu, k, l, spec)`` grid of the oracle and specialization
+    suites: for each color count m, every multipartition of each size that
+    ``_ns(1, 4, ...)`` picks, on every alphabet of 1 to 4 letters with at
+    most 2 of each color and parity."""
     cases = []
-    for m in _ms((1, 2, 3), m_only):
+    for m in _ms(m_values, m_only):
         mus = [mu for n in _ns(1, 4, max_n, n_only) for mu in list_multipartitions(m, n)]
         for k, l in _alphabet_configs(m, 2, 1, 4):
             spec = CharSpec(m, k, l)
             cases += [(mu, k, l, spec) for mu in mus]
+    return cases
+
+
+def suite_oracle(max_n=None, m_only=None, n_only=None) -> SuiteResult:
+    """Closed form versus brute-force trace, as canonical polynomials."""
+    cases = _character_cases((1, 2, 3), max_n, m_only, n_only)
 
     def check(case):
         mu, k, l, spec = case
@@ -124,12 +135,7 @@ def suite_shoji_relations(max_n=None, m_only=None, n_only=None) -> SuiteResult:
 
 def suite_specialization(max_n=None, m_only=None, n_only=None) -> SuiteResult:
     """Root-of-unity specialization of the oracle versus the group formula."""
-    cases = []
-    for m in _ms((1, 2, 3, 4), m_only):
-        mus = [mu for n in _ns(1, 4, max_n, n_only) for mu in list_multipartitions(m, n)]
-        for k, l in _alphabet_configs(m, 2, 1, 4):
-            spec = CharSpec(m, k, l)
-            cases += [(mu, k, l, spec) for mu in mus]
+    cases = _character_cases((1, 2, 3, 4), max_n, m_only, n_only)
 
     def check(case):
         mu, k, l, spec = case

@@ -308,6 +308,14 @@ class TestVerify:
         assert code == 2 and out == ""
         assert err.startswith("error: ") and "no case" in err
 
+    def test_n_picks_its_size_without_walking_to_max_n(self, capsys):
+        # --n picks its one size without walking the sizes up to --max-n
+        assert verify._ns(0, 5, 10**18, 3) == [3]
+        _, expected, _ = run_cli(capsys, "verify", "--suite", "all", "--n", "1")
+        code, out, _ = run_cli(capsys, "verify", "--suite", "all",
+                               "--max-n", "1000000000000", "--n", "1")
+        assert code == 0 and out == expected
+
     def test_json_report(self, capsys):
         code, out, _ = run_cli(
             capsys, "verify", "--suite", "theta-closed-forms", "--format", "json",

@@ -13,18 +13,17 @@ from akchar.formulas import CharSpec, group_character_value
 from akchar.operators import (
     _MONOMIALS,
     GradedAlphabet,
-    TensorState,
     _accumulate,
     _alphabet,
     _annihilator,
     _apply_steps,
+    _check_reach,
     _compile_word,
     _diagonal_sums,
     _exchange,
     _report,
     _shape,
     _zero,
-    apply_generator,
     char_value_oracle,
     check_ak_presentation,
     check_shoji_presentation,
@@ -39,7 +38,22 @@ def mp(text, m):
 
 
 def unit(word, m):
-    return TensorState.unit(word, m)
+    return {tuple(word): MultiPoly.one(m)}
+
+
+def apply_word(word, terms, alph, n):
+    """``word`` applied to ``{basis word: MultiPoly}`` by the engine the
+    library runs, ``_compile_word`` and ``_apply_steps``, with the basis
+    field 0; like ``trace_of_word`` it checks the word's own reach."""
+    steps = _compile_word(word, n, alph)
+    _check_reach(sum(step[4] for step in steps))
+    width = alph._letter_bits * n
+    state = {(key << 2 * width) + alph._word_key(w): c
+             for w, p in terms.items() for key, c in alph.poly_to_raw(p).items()}
+    out = {}
+    for key, c in _apply_steps(state, steps).items():
+        out.setdefault(alph._word_of(key, n), {})[key >> 2 * width] = c
+    return {w: alph.poly_from_raw(raw) for w, raw in out.items()}
 
 
 class TestPackedRange:
@@ -49,17 +63,9 @@ class TestPackedRange:
 
     def test_xi_power_256(self):
         alph = GradedAlphabet((1,), (1,))
-        assert apply_generator(("xi", 1, 255), unit((1,), 1), alph) == TensorState(
-            1, {(1,): mp("u1^255", 1)}
-        )
+        assert trace_of_word((("xi", 1, 255),), 1, alph) == mp("2*u1^255", 1)
         with pytest.raises(ValueError):
-            apply_generator(("xi", 1, 256), unit((1,), 1), alph)
-
-    def test_scaling_a_high_u_power(self):
-        alph = GradedAlphabet((1, 1), (0, 0))
-        state = TensorState(1, {(1,): mp("u1^200", 2)})
-        with pytest.raises(ValueError):
-            apply_generator(("xi", 1, 100), state, alph)
+            trace_of_word((("xi", 1, 256),), 1, alph)
 
     def test_oracle_reach(self):
         # each of the 255 blocks of component 2 scales by u of the one
@@ -73,10 +79,10 @@ class TestPackedRange:
         alph = GradedAlphabet((1,), (1,))
         state = unit((2, 2), 1)
         for e in range(1, 301):
-            state = apply_generator(("ginv", 1), state, alph)
+            state = apply_word((("ginv", 1),), state, alph, 2)
             if e in (128, 129, 300):
                 expected = (-1) ** e * MultiPoly.q_power(-e, 1)
-                assert state == TensorState(2, {(2, 2): expected}), e
+                assert state == {(2, 2): expected}, e
 
     def test_long_trace_word(self):
         # the trace of T^e summed over the basis words, each pushed through
@@ -144,27 +150,28 @@ def xi_cases(draw):
     n = draw(st.integers(1, 3))
     letters = st.integers(1, alph.size)
     words = draw(st.lists(st.tuples(*[letters] * n), max_size=3, unique=True))
-    state = TensorState(n, {w: draw(edge_polys(m)) for w in words})
+    terms = {w: draw(edge_polys(m)) for w in words}
     j = draw(st.integers(1, n))
     e = draw(st.one_of(st.integers(1, 3), st.integers(120, 260)))
-    return alph, state, j, e
+    return alph, n, terms, j, e
 
 
 @settings(max_examples=150, deadline=None)
 @given(xi_cases())
 def test_color_scaling_matches_multipoly(case):
-    alph, state, j, e = case
+    # an input exponent out of its field and a scaling power beyond it both
+    # raise; a scaling that carries a fitting input out of its field is not
+    # checked, since only the word's own reach is
+    alph, n, terms, j, e = case
     m = alph.m
-    try:
-        got = apply_generator(("xi", j, e), state, alph)
-    except ValueError:
-        assert not all(_fits(c, e) for c in state.terms.values())
+    if e >= 256 or not all(_fits(c) for c in terms.values()):
+        with pytest.raises(ValueError):
+            apply_word((("xi", j, e),), terms, alph, n)
         return
-    expected = TensorState(state.n, {
-        w: c * MultiPoly.u_power(alph.colors[w[j - 1]], m, e)
-        for w, c in state.terms.items()
-    })
-    assert got == expected
+    got = apply_word((("xi", j, e),), terms, alph, n)
+    if all(_fits(c, e) for c in terms.values()):
+        assert got == {w: c * MultiPoly.u_power(alph.colors[w[j - 1]], m, e)
+                       for w, c in terms.items() if c}
 
 
 def _swap_reference(tag, a, b, alph, m):
@@ -234,20 +241,20 @@ def word_cases(draw):
                       st.integers(1, n - 1))
     xi = st.tuples(st.just("xi"), st.integers(1, n), st.integers(1, 2))
     word = draw(st.lists(st.one_of(braid, xi), min_size=1, max_size=10))
-    return alph, TensorState(n, state), word
+    return alph, n, state, word
 
 
 @settings(max_examples=100, deadline=None)
 @given(word_cases())
 def test_words_match_multipoly_reference(case):
-    alph, state, word = case
-    expected = dict(state.terms)
+    alph, n, state, word = case
+    expected = state
     # u-exponents stay below 2 + 10 * 2, far inside their fields, so every
     # word is computed exactly
     for sym in reversed(word):  # rightmost symbol acts first
-        state = apply_generator(sym, state, alph)
+        state = apply_word((sym,), state, alph, n)
         expected = _reference_apply(sym, expected, alph, alph.m)
-        assert state == TensorState(state.n, expected), sym
+        assert state == expected, sym
 
 
 def test_raw_state_keeps_no_cancelled_word():
@@ -384,30 +391,30 @@ def test_trace_of_revisiting_word_matches_multipoly_reference(case):
 class TestApplyGenerator:
     def test_quantum_swap_mixed_parity(self):
         alph = GradedAlphabet((1,), (1,))  # letter 1 even, letter 2 odd
-        got = apply_generator(("g", 1), unit((1, 2), 1), alph)
-        assert got == TensorState(2, {(1, 2): mp("1 - q", 1), (2, 1): mp("1", 1)})
+        got = apply_word((("g", 1),), unit((1, 2), 1), alph, 2)
+        assert got == {(1, 2): mp("1 - q", 1), (2, 1): mp("1", 1)}
 
     def test_quantum_swap_equal_odd(self):
         alph = GradedAlphabet((1,), (1,))
-        got = apply_generator(("g", 1), unit((2, 2), 1), alph)
-        assert got == TensorState(2, {(2, 2): mp("-q", 1)})
+        got = apply_word((("g", 1),), unit((2, 2), 1), alph, 2)
+        assert got == {(2, 2): mp("-q", 1)}
 
     def test_color_scaling_square(self):
         alph = GradedAlphabet((1,), (1,))
-        got = apply_generator(("xi", 1, 2), unit((1, 2), 1), alph)
-        assert got == TensorState(2, {(1, 2): mp("u1^2", 1)})
+        got = apply_word((("xi", 1, 2),), unit((1, 2), 1), alph, 2)
+        assert got == {(1, 2): mp("u1^2", 1)}
 
     def test_plain_swap_across_colors(self):
         alph = GradedAlphabet((1, 1), (0, 0))  # two even letters, colors 1, 2
-        got = apply_generator(("swap", 1), unit((1, 2), 2), alph)
-        assert got == TensorState(2, {(2, 1): mp("1", 2)})
+        got = apply_word((("swap", 1),), unit((1, 2), 2), alph, 2)
+        assert got == {(2, 1): mp("1", 2)}
 
     def test_index_out_of_range(self):
         alph = GradedAlphabet((1,), (1,))
         with pytest.raises(ValueError):
-            apply_generator(("g", 2), unit((1, 1), 1), alph)
+            trace_of_word((("g", 2),), 2, alph)
         with pytest.raises(ValueError):
-            apply_generator(("xi", 3, 1), unit((1, 1), 1), alph)
+            trace_of_word((("xi", 3, 1),), 2, alph)
 
     def test_swap_followed_by_inverse_is_identity(self):
         # every alphabet with at most four letters, up to three colors
@@ -419,9 +426,7 @@ class TestApplyGenerator:
                 alph = GradedAlphabet(k, l)
                 for word in itertools.product(range(1, alph.size + 1), repeat=2):
                     state = unit(word, alph.m)
-                    roundtrip = apply_generator(
-                        ("ginv", 1), apply_generator(("g", 1), state, alph), alph
-                    )
+                    roundtrip = apply_word((("ginv", 1), ("g", 1)), state, alph, 2)
                     assert roundtrip == state, (k, l, word)
 
     def test_quadratic_minimal_polynomial(self):
@@ -432,14 +437,31 @@ class TestApplyGenerator:
             q = MultiPoly.q_power(1, m)
             for word in itertools.product(range(1, alph.size + 1), repeat=2):
                 state = unit(word, m)
-                tw = apply_generator(("g", 1), state, alph)
-                ttw = apply_generator(("g", 1), tw, alph)
+                tw = apply_word((("g", 1),), state, alph, 2)
+                ttw = apply_word((("g", 1),), tw, alph, 2)
                 expected_terms = {}
-                for w, c in tw.terms.items():
+                for w, c in tw.items():
                     expected_terms[w] = c * one_minus_q
-                for w, c in state.terms.items():
+                for w, c in state.items():
                     expected_terms[w] = expected_terms.get(w, MultiPoly.zero(m)) + c * q
-                assert ttw == TensorState(2, expected_terms), (k, l, word)
+                assert ttw == {w: c for w, c in expected_terms.items() if c}, \
+                    (k, l, word)
+
+
+def test_terms_match_swap_reference():
+    # each braid symbol's rule on every letter pair of alphabets that mix
+    # even and odd letters in one, two and three colors
+    for k, l in [((1,), (2,)), ((2, 1), (1, 1)), ((1, 0, 1), (1, 2, 1))]:
+        alph = GradedAlphabet(k, l)
+        m = alph.m
+        for tag in ("g", "ginv", "swap"):
+            for a, b in itertools.product(range(1, alph.size + 1), repeat=2):
+                got = {}
+                for pair, e, c in alph._terms(tag, a, b):
+                    got[pair] = got.get(pair, MultiPoly.zero(m)) + \
+                        c * MultiPoly.q_power(e, m)
+                assert got == dict(_swap_reference(tag, a, b, alph, m)), \
+                    (k, l, tag, a, b)
 
 
 class TestTrace:
@@ -467,12 +489,10 @@ class TestTrace:
         alph = GradedAlphabet((1,), (1,))
         with pytest.raises(ValueError, match="generator symbol"):
             trace_of_word((sym,), 2, alph)
-        with pytest.raises(ValueError, match="generator symbol"):
-            apply_generator(sym, unit((1, 2), 1), alph)
 
     def test_mixed_words_match_apply_generator(self):
         # words with ginv, swap and g0 trace exactly: the trace is the sum of
-        # the diagonal entries of apply_generator over the unit basis words
+        # the diagonal entries of the unpruned steps over the unit basis words
         rng = random.Random(20261018)
         for k, l in [((1,), (1,)), ((1, 0), (0, 1)), ((1, 1), (1, 0)),
                      ((0, 1, 1), (1, 0, 0))]:
@@ -486,10 +506,8 @@ class TestTrace:
                     word = tuple(rng.choice(symbols) for _ in range(rng.randint(0, 5)))
                     expected = MultiPoly.zero(m)
                     for w in itertools.product(range(1, alph.size + 1), repeat=n):
-                        state = unit(w, m)
-                        for sym in reversed(word):  # rightmost symbol acts first
-                            state = apply_generator(sym, state, alph)
-                        expected = expected + state.terms.get(w, MultiPoly.zero(m))
+                        state = apply_word(word, unit(w, m), alph, n)
+                        expected = expected + state.get(w, MultiPoly.zero(m))
                     assert trace_of_word(word, n, alph) == expected, (k, l, word)
 
     def test_cyclicity(self):
@@ -829,34 +847,26 @@ class TestPresentations:
         zero = MultiPoly.zero(2)
         corr = mp("1 - q", 2) * mp("u1 - u2", 2)
 
-        def run(word, w):
-            state = unit(w, 2)
-            for sym in reversed(word):  # rightmost symbol acts first
-                state = apply_generator(sym, state, alph)
-            return state
-
-        def minus(a, b):
-            return TensorState(2, {
-                v: a.terms.get(v, zero) - b.terms.get(v, zero)
-                for v in set(a.terms) | set(b.terms)
-            })
+        def minus(lhs, rhs, w):
+            a, b = (apply_word(side, unit(w, 2), alph, 2) for side in (lhs, rhs))
+            diff = {v: a.get(v, zero) - b.get(v, zero) for v in a.keys() | b.keys()}
+            return {v: c for v, c in diff.items() if c}
 
         g1, xi1, xi2 = ("g", 1), ("xi", 1, 1), ("xi", 2, 1)
-        for w, expected in (((1, 2), corr), ((2, 1), zero)):
-            raise_diff = minus(run((g1, xi1), w), run((xi2, g1), w))
-            lower_diff = minus(run((g1, xi2), w), run((xi1, g1), w))
-            assert raise_diff == TensorState(2, {w: expected}), w
-            assert lower_diff == TensorState(2, {w: -expected}), w
+        for w, expected in (((1, 2), {(1, 2): corr}), ((2, 1), {})):
+            assert minus((g1, xi1), (xi2, g1), w) == expected, w
+            assert minus((g1, xi2), (xi1, g1), w) == \
+                {v: -c for v, c in expected.items()}, w
 
     def test_broken_quadratic_names_first_witness(self, monkeypatch):
         # letters 2 and 3 are odd, so T acts on (2, 2) and (3, 3) by -q; +q
         # there breaks the quadratic relation, first on (2, 2)
-        def flip_odd_diagonal(alph, tables):
-            for a in (2, 3):
-                tables[0][a][a] = (((a, a), alph._encode(1, ()), 1),)
-            return tables
+        def flip_odd_diagonal(alph, terms, tag, a, b):
+            if tag == "g" and a == b and a in (2, 3):
+                return (((a, a), 1, 1),)
+            return terms
 
-        _break(monkeypatch, "_ensure_tables", flip_odd_diagonal)
+        _break(monkeypatch, "_terms", flip_odd_diagonal)
         failing = {"relation": "quadratic-g1", "status": "fail", "witness": [2, 2]}
         assert _entry(check_ak_presentation(2, (1,), (2,)), "quadratic-g1") == failing
         assert _entry(check_shoji_presentation(2, (1,), (2,)), "quadratic-g1") == failing
@@ -881,15 +891,13 @@ class TestPresentations:
     def test_broken_swap_names_braid_witness(self, monkeypatch):
         # letters 1, 2 have colors 1, 2; negating T's swap coefficient on that
         # pair, in both directions, breaks only the braid relation with g_0
-        def negate_swap_1_2(alph, tables):
-            for a, b in ((1, 2), (2, 1)):
-                tables[0][a][b] = tuple(
-                    (pair, key, -c if pair == (b, a) else c)
-                    for pair, key, c in tables[0][a][b]
-                )
-            return tables
+        def negate_swap_1_2(alph, terms, tag, a, b):
+            if tag != "g" or {a, b} != {1, 2}:
+                return terms
+            return tuple((pair, e, -c if pair == (b, a) else c)
+                         for pair, e, c in terms)
 
-        _break(monkeypatch, "_ensure_tables", negate_swap_1_2)
+        _break(monkeypatch, "_terms", negate_swap_1_2)
         report = check_ak_presentation(3, (1, 1, 1), (0, 0, 0))
         assert [entry for entry in report if entry["status"] != "pass"] == [
             {"relation": "braid-g0-g1", "status": "fail", "witness": [1, 1, 2]}]
@@ -897,16 +905,12 @@ class TestPresentations:
     def test_missing_ascending_term_names_exchange_witnesses(self, monkeypatch):
         # without its (1-q) term on the ascending cross-color pair (1, 2), T
         # breaks the quadratic relation and both exchange relations at (1, 2)
-        def drop_ascending_cross_color_term(alph, tables):
-            for a in range(1, alph.size + 1):
-                for b in range(a + 1, alph.size + 1):
-                    if alph.colors[a] != alph.colors[b]:
-                        tables[0][a][b] = tuple(
-                            entry for entry in tables[0][a][b] if entry[0] != (a, b)
-                        )
-            return tables
+        def drop_ascending_cross_color_term(alph, terms, tag, a, b):
+            if tag == "g" and a < b and alph.colors[a] != alph.colors[b]:
+                return tuple(term for term in terms if term[0] != (a, b))
+            return terms
 
-        _break(monkeypatch, "_ensure_tables", drop_ascending_cross_color_term)
+        _break(monkeypatch, "_terms", drop_ascending_cross_color_term)
         report = check_shoji_presentation(2, (1, 1), (0, 0))
         assert [entry for entry in report if entry["status"] != "pass"] == [
             {"relation": name, "status": "fail", "witness": [1, 2]}
