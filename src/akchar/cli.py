@@ -10,6 +10,7 @@ import argparse
 import csv
 import io
 import json
+import os
 import sys
 
 from .combinat import (
@@ -185,6 +186,76 @@ def run_hooks(args) -> int:
     return 0 if total == expected else 1
 
 
+def _verify_part(args, names, part):
+    """Run ``part`` of each suite in ``names``, stopping at the first bad
+    input: the results so far, and ``(suite index, message)`` or None."""
+    results = []
+    try:
+        for name in names:
+            results.append(run_suite(name, max_n=args.max_n, m_only=args.m,
+                                     n_only=args.n, part=part))
+    except (ValueError, OSError) as exc:
+        return results, (len(results), str(exc))
+    return results, None
+
+
+def _verify_parts(args, names, jobs):
+    """Every suite in ``names`` with its cases split into ``jobs`` slices:
+    slice 0 runs here and slice i in the i-th of ``jobs - 1`` forked
+    children, which send back their failure lists as JSON through a pipe.
+    The failures are joined in slice order, so they are in case order."""
+    children = {}  # slice index -> (pid, read end of its pipe)
+    try:
+        for i in range(1, jobs):
+            read_fd, write_fd = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                # the child leaves by os._exit, so it never flushes the
+                # stdout it inherited nor writes --out; exit 0 means sent
+                status = 1
+                try:
+                    results, error = _verify_part(args, names, (i, jobs))
+                    data = json.dumps([[r.failures for r in results], error])
+                    with open(write_fd, "w", encoding="utf-8") as pipe:
+                        pipe.write(data)
+                    status = 0
+                except BaseException:
+                    sys.excepthook(*sys.exc_info())
+                finally:
+                    os._exit(status)
+            os.close(write_fd)
+            children[i] = (pid, open(read_fd, "rb"))
+        results, error = _verify_part(args, names, (0, jobs))
+        parts = [([r.failures for r in results], error)]
+        for i in range(1, jobs):
+            pid, pipe = children[i]
+            with pipe:
+                data = pipe.read()
+            status = os.waitpid(pid, 0)[1]
+            del children[i]
+            if status:
+                raise OSError(f"verify slice {i} of {jobs} (process {pid}) "
+                              f"ended with no result (wait status {status})")
+            parts.append(json.loads(data))
+    finally:
+        if children:  # an error cut the loop above: stop the rest
+            import signal
+
+            for pid, pipe in children.values():
+                os.kill(pid, signal.SIGKILL)
+                pipe.close()
+                os.waitpid(pid, 0)
+    # the first error in case order: the least (suite index, slice index);
+    # main reports a ValueError and an OSError alike
+    errors = [(error[0], i, error[1]) for i, (_, error) in enumerate(parts) if error]
+    if errors:
+        raise ValueError(min(errors)[2])
+    return [
+        result._replace(failures=[f for failures, _ in parts for f in failures[s]])
+        for s, result in enumerate(results)
+    ]
+
+
 def run_verify(args) -> int:
     if args.max_n is not None and args.max_n < 0:
         raise ValueError("--max-n must be nonnegative")
@@ -193,10 +264,7 @@ def run_verify(args) -> int:
     if args.m is not None and args.m < 1:
         raise ValueError("--m must be positive")
     names = SUITE_NAMES if args.suite == "all" else [args.suite]
-    results = [
-        run_suite(name, max_n=args.max_n, m_only=args.m, n_only=args.n)
-        for name in names
-    ]
+    results = _verify_parts(args, names, args.jobs if hasattr(os, "fork") else 1)
     if not any(result.cases for result in results):
         bounds = [f"{flag} {value}" for flag, value in
                   (("--max-n", args.max_n), ("--m", args.m), ("--n", args.n))
@@ -307,9 +375,10 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=formats, default=formats[0])
         p.add_argument("--out", default=None, help="output path (default stdout)")
         p.add_argument("--jobs", type=_jobs, default=1,
-                       help=f"accepted for compatibility, 1..{MAX_JOBS}; "
-                            "evaluation is sequential and the value does not "
-                            "change the output")
+                       help=f"processes, 1..{MAX_JOBS}: verify splits every "
+                            "suite's cases over them; the other commands "
+                            "accept the value and run in one process; the "
+                            "output is the same for every value")
 
     chars = sub.add_parser("chars", help="character table for all multipartitions of n")
     add_common(chars)

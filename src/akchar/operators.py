@@ -168,10 +168,6 @@ class GradedAlphabet:
 
     # -- flat keys and compiled steps ---------------------------------
 
-    def _word_key(self, word) -> int:
-        f = self._letter_bits
-        return sum(a << (f * i) for i, a in enumerate(word))
-
     def _word_of(self, key: int, n: int) -> tuple[int, ...]:
         f = self._letter_bits
         mask = (1 << f) - 1

@@ -1,8 +1,11 @@
 """Verification sweeps: each suite runs one family of identities over a
 bounded grid of shapes and sizes and reports every counterexample.
 
-The sweeps are pure and deterministic: cases run one after another in a
-fixed order, so the output is fixed too.
+The sweeps are pure and deterministic: each suite builds its cases in a
+fixed order and reports its failures in that order.  ``part=(i, J)`` runs
+only the i-th of J contiguous slices of the cases, so J processes can share
+one suite and their failures, joined in slice order, are those of the whole
+suite (``akchar verify --jobs J``).
 """
 from __future__ import annotations
 
@@ -48,9 +51,15 @@ class SuiteResult(namedtuple("SuiteResult", "name cases failures")):
         return not self.failures
 
 
-def _collect(name, cases, check) -> SuiteResult:
-    failures = [r for r in map(check, cases) if r is not None]
-    return SuiteResult(name, len(cases), failures)
+def _collect(name, cases, check, part=(0, 1)) -> SuiteResult:
+    """Run slice i of J of ``cases`` for ``part=(i, J)``; the result counts
+    every case of the suite."""
+    i, jobs = part
+    if not 0 <= i < jobs:
+        raise ValueError(f"part must be (i, J) with 0 <= i < J, got {part!r}")
+    total = len(cases)
+    mine = cases[total * i // jobs:total * (i + 1) // jobs]
+    return SuiteResult(name, total, [r for r in map(check, mine) if r is not None])
 
 
 def _alphabet_configs(m: int, entry_cap: int, dim_lo: int, dim_hi: int):
@@ -84,7 +93,7 @@ def _character_cases(m_values, max_n, m_only, n_only):
     return cases
 
 
-def suite_oracle(max_n=None, m_only=None, n_only=None) -> SuiteResult:
+def suite_oracle(max_n=None, m_only=None, n_only=None, part=(0, 1)) -> SuiteResult:
     """Closed form versus brute-force trace, as canonical polynomials."""
     cases = _character_cases((1, 2, 3), max_n, m_only, n_only)
 
@@ -99,10 +108,10 @@ def suite_oracle(max_n=None, m_only=None, n_only=None) -> SuiteResult:
             }
         return None
 
-    return _collect("oracle", cases, check)
+    return _collect("oracle", cases, check, part)
 
 
-def _relation_suite(name, checker, n_lo, max_n, m_only, n_only) -> SuiteResult:
+def _relation_suite(name, checker, n_lo, max_n, m_only, n_only, part) -> SuiteResult:
     cases = []
     for m in _ms((1, 2, 3), m_only):
         for k, l in _alphabet_configs(m, 3, 1, 3):
@@ -116,24 +125,27 @@ def _relation_suite(name, checker, n_lo, max_n, m_only, n_only) -> SuiteResult:
             return {"n": n, "k": list(k), "l": list(l), "failed": bad}
         return None
 
-    return _collect(name, cases, check)
+    return _collect(name, cases, check, part)
 
 
-def suite_ak_relations(max_n=None, m_only=None, n_only=None) -> SuiteResult:
+def suite_ak_relations(max_n=None, m_only=None, n_only=None,
+                       part=(0, 1)) -> SuiteResult:
     """Cyclotomic-generator presentation as operator identities."""
     return _relation_suite(
-        "ak-relations", check_ak_presentation, 1, max_n, m_only, n_only
+        "ak-relations", check_ak_presentation, 1, max_n, m_only, n_only, part
     )
 
 
-def suite_shoji_relations(max_n=None, m_only=None, n_only=None) -> SuiteResult:
+def suite_shoji_relations(max_n=None, m_only=None, n_only=None,
+                          part=(0, 1)) -> SuiteResult:
     """Braid/color-scaling presentation as operator identities."""
     return _relation_suite(
-        "shoji-relations", check_shoji_presentation, 2, max_n, m_only, n_only
+        "shoji-relations", check_shoji_presentation, 2, max_n, m_only, n_only, part
     )
 
 
-def suite_specialization(max_n=None, m_only=None, n_only=None) -> SuiteResult:
+def suite_specialization(max_n=None, m_only=None, n_only=None,
+                         part=(0, 1)) -> SuiteResult:
     """Root-of-unity specialization of the oracle versus the group formula."""
     cases = _character_cases((1, 2, 3, 4), max_n, m_only, n_only)
 
@@ -149,10 +161,11 @@ def suite_specialization(max_n=None, m_only=None, n_only=None) -> SuiteResult:
             }
         return None
 
-    return _collect("specialization", cases, check)
+    return _collect("specialization", cases, check, part)
 
 
-def suite_theta_closed_forms(max_n=None, m_only=None, n_only=None) -> SuiteResult:
+def suite_theta_closed_forms(max_n=None, m_only=None, n_only=None,
+                             part=(0, 1)) -> SuiteResult:
     """Enumerated length slices versus the two closed forms."""
     cases = [(i, a) for i in _ms((1, 2, 3), m_only) for a in _ns(1, 8, max_n, n_only)]
 
@@ -165,10 +178,10 @@ def suite_theta_closed_forms(max_n=None, m_only=None, n_only=None) -> SuiteResul
                         "enumerated": slices[j].to_text(), "closed": closed.to_text()}
         return None
 
-    return _collect("theta-closed-forms", cases, check)
+    return _collect("theta-closed-forms", cases, check, part)
 
 
-def suite_coef(max_n=None, m_only=None, n_only=None) -> SuiteResult:
+def suite_coef(max_n=None, m_only=None, n_only=None, part=(0, 1)) -> SuiteResult:
     """Single-hook coefficient identities: the exact first-color value, the
     first-order expansion, and reassembly into the block trace."""
     sizes = _ns(1, 8, max_n, n_only)
@@ -207,10 +220,10 @@ def suite_coef(max_n=None, m_only=None, n_only=None) -> SuiteResult:
                         "sum": total.to_text(), "theta": want.to_text()}
         return None
 
-    return _collect("coef", cases, check)
+    return _collect("coef", cases, check, part)
 
 
-def suite_hook_sum(max_n=None, m_only=None, n_only=None) -> SuiteResult:
+def suite_hook_sum(max_n=None, m_only=None, n_only=None, part=(0, 1)) -> SuiteResult:
     """Truncated expansion of the single-hook oracle trace versus the
     weighted hook-sum product, plus the exact single-row values."""
     cases = []
@@ -247,10 +260,10 @@ def suite_hook_sum(max_n=None, m_only=None, n_only=None) -> SuiteResult:
                     "oracle_mod_t2": got.to_text(), "hook_sum": want.to_text()}
         return None
 
-    return _collect("hook-sum", cases, check)
+    return _collect("hook-sum", cases, check, part)
 
 
-def suite_wreath(max_n=None, m_only=None, n_only=None) -> SuiteResult:
+def suite_wreath(max_n=None, m_only=None, n_only=None, part=(0, 1)) -> SuiteResult:
     """Group specialization of the single-hook oracle versus the wreath
     closed form (an integer)."""
     cases = []
@@ -269,10 +282,11 @@ def suite_wreath(max_n=None, m_only=None, n_only=None) -> SuiteResult:
                     "specialized": got.to_text(), "wreath": want.to_text()}
         return None
 
-    return _collect("wreath", cases, check)
+    return _collect("wreath", cases, check, part)
 
 
-def suite_dimension_identity(max_n=None, m_only=None, n_only=None) -> SuiteResult:
+def suite_dimension_identity(max_n=None, m_only=None, n_only=None,
+                             part=(0, 1)) -> SuiteResult:
     """Tableau-count identities: filling counts are positive exactly on hook
     shapes, single-hook counts are powers of two, and the weighted counts
     resolve the full tensor-power dimension."""
@@ -311,7 +325,7 @@ def suite_dimension_identity(max_n=None, m_only=None, n_only=None) -> SuiteResul
                     "sum": total, "expected": expected}
         return None
 
-    return _collect("dimension-identity", cases, check)
+    return _collect("dimension-identity", cases, check, part)
 
 
 _SUITES = {
@@ -329,11 +343,12 @@ _SUITES = {
 SUITE_NAMES = list(_SUITES)
 
 
-def run_suite(name: str, max_n=None, m_only=None, n_only=None) -> SuiteResult:
+def run_suite(name: str, max_n=None, m_only=None, n_only=None,
+              part=(0, 1)) -> SuiteResult:
     try:
         fn = _SUITES[name]
     except KeyError:
         raise ValueError(
             f"unknown suite {name!r}; choose from {', '.join(SUITE_NAMES)} or all"
         )
-    return fn(max_n=max_n, m_only=m_only, n_only=n_only)
+    return fn(max_n=max_n, m_only=m_only, n_only=n_only, part=part)

@@ -1,9 +1,11 @@
 import hashlib
 import importlib.util
 import json
+import os
 import shlex
 import subprocess
 import sys
+import time
 import tracemalloc
 from pathlib import Path
 from types import SimpleNamespace
@@ -341,6 +343,118 @@ class TestVerify:
         assert set(report["failures"][0]) == keys
 
 
+def _no_child_left():
+    # every process verify forked has been reaped
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _raising(f, bad):
+    # f, but a bad input on the arguments that ``bad`` picks
+    def wrapped(*args):
+        if bad(*args):
+            raise ValueError(f"bad input {args}")
+        return f(*args)
+
+    return wrapped
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="verify --jobs forks")
+class TestVerifyJobs:
+    """``verify --jobs J`` runs slice i of every suite's cases in process i."""
+
+    def test_failures_in_every_slice_print_the_same(self, capsys, monkeypatch):
+        # odd-sized alphabets fail, spread over the oracle and specialization
+        # cases, so the slices of every J send failures back
+        oracle, calls = verify.char_value_oracle, []
+
+        def odd_fails(mu, k, l):
+            calls.append(mu)  # in this process only
+            return oracle(mu, k, l) + (sum(k) + sum(l)) % 2
+
+        monkeypatch.setattr(verify, "char_value_oracle", odd_fails)
+        for fmt in ("text", "json"):
+            outputs, own_calls = set(), []
+            for jobs in ("1", "2", "3", "8"):
+                calls.clear()
+                code, out, err = run_cli(capsys, "verify", "--max-n", "1",
+                                         "--format", fmt, "--jobs", jobs)
+                assert code == 1 and err == ""
+                _no_child_left()
+                outputs.add(out)
+                own_calls.append(len(calls))
+            assert len(outputs) == 1
+            assert own_calls == sorted(own_calls, reverse=True)
+            assert own_calls[-1] < own_calls[0] // 4
+        [doc] = [json.loads(out) for out in outputs]
+        failures = {s["name"]: len(s["failures"]) for s in doc["suites"]}
+        assert failures["oracle"] > 8 and failures["specialization"] > 8
+
+    @pytest.mark.parametrize("jobs", ["1", "2", "3", "8"])
+    def test_first_error_in_case_order_wins(self, capsys, monkeypatch, jobs):
+        # theta-closed-forms (suite 4) raises on its cases i = 2 and i = 3,
+        # which J = 3 puts in slices 1 and 2; coef (suite 5) raises on its
+        # first case, in slice 0, the parent's own; J = 1 stops at i = 2
+        monkeypatch.setattr(verify, "theta2_closed",
+                            _raising(verify.theta2_closed, lambda i, a: i >= 2))
+        monkeypatch.setattr(verify, "bracket",
+                            _raising(verify.bracket, lambda *args: True))
+        code, out, err = run_cli(capsys, "verify", "--max-n", "1", "--jobs", jobs)
+        _no_child_left()
+        assert (code, out, err) == (2, "", "error: bad input (2, 1)\n")
+
+    def test_child_without_result_is_an_error(self, capsys, monkeypatch):
+        # the case i = 3 is in slice 2 of 3, which only a child runs
+        closed = verify.theta2_closed
+        monkeypatch.setattr(verify, "theta2_closed",
+                            lambda i, a: os._exit(3) if i == 3 else closed(i, a))
+        code, out, err = run_cli(capsys, "verify", "--suite", "theta-closed-forms",
+                                 "--max-n", "1", "--jobs", "3")
+        _no_child_left()
+        assert code == 2 and out == ""
+        assert err.startswith("error: verify slice 2 of 3 (process ")
+        assert "ended with no result" in err
+
+    def test_unexpected_error_stops_the_children(self, monkeypatch):
+        # the parent's slice breaks while the children are still running:
+        # they are killed and reaped, not waited for
+        closed = verify.theta2_closed
+
+        def stalled(i, a):
+            if i == 1:
+                raise RuntimeError("broken")
+            time.sleep(60)
+            return closed(i, a)
+
+        monkeypatch.setattr(verify, "theta2_closed", stalled)
+        start = time.perf_counter()
+        with pytest.raises(RuntimeError, match="broken"):
+            main(["verify", "--suite", "theta-closed-forms", "--max-n", "1",
+                  "--jobs", "3"])
+        assert time.perf_counter() - start < 30
+        _no_child_left()
+
+    def test_more_jobs_than_cases(self, capsys):
+        code, out, _ = run_cli(capsys, "verify", "--suite", "theta-closed-forms",
+                               "--max-n", "2", "--jobs", "8")
+        _no_child_left()
+        assert code == 0
+        assert out == "suite theta-closed-forms: 6 cases, 0 failures [pass]\n"
+
+
+def test_suite_slices_join_to_the_suite(monkeypatch):
+    monkeypatch.setattr(verify, "bracket", _plus_one(verify.bracket))
+    whole = verify.run_suite("coef")
+    assert whole.failures
+    for jobs in (1, 2, 3, 40):
+        parts = [verify.run_suite("coef", part=(i, jobs)) for i in range(jobs)]
+        assert {part.cases for part in parts} == {whole.cases}
+        assert [f for part in parts for f in part.failures] == whole.failures
+    for part in ((1, 1), (-1, 2), (0, 0)):
+        with pytest.raises(ValueError, match="part must be"):
+            verify.run_suite("coef", part=part)
+
+
 class TestComparePair:
     def test_report_rows(self, capsys):
         code, out, _ = run_cli(capsys, "compare-pair-regev", "--max-n", "2")
@@ -523,8 +637,8 @@ def _loaded_by_cli_import(*modules):
 
 
 def test_cli_imports_no_executor():
-    # evaluation is sequential; the CLI loads no thread or process pool
-    assert _loaded_by_cli_import("concurrent.futures") == "[]"
+    # the verify split uses os.fork; start-up loads no pool
+    assert _loaded_by_cli_import("concurrent.futures", "multiprocessing", "pickle") == "[]"
 
 
 def test_cli_imports_no_dataclasses():

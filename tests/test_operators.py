@@ -41,6 +41,11 @@ def unit(word, m):
     return {tuple(word): MultiPoly.one(m)}
 
 
+def word_key(word, alph):
+    """The word bits of a flat key: letter i in field i."""
+    return sum(a << (alph._letter_bits * i) for i, a in enumerate(word))
+
+
 def apply_word(word, terms, alph, n):
     """``word`` applied to ``{basis word: MultiPoly}`` by the engine the
     library runs, ``_compile_word`` and ``_apply_steps``, with the basis
@@ -48,7 +53,7 @@ def apply_word(word, terms, alph, n):
     steps = _compile_word(word, n, alph)
     _check_reach(sum(step[4] for step in steps))
     width = alph._letter_bits * n
-    state = {(key << 2 * width) + alph._word_key(w): c
+    state = {(key << 2 * width) + word_key(w, alph): c
              for w, p in terms.items() for key, c in alph.poly_to_raw(p).items()}
     out = {}
     for key, c in _apply_steps(state, steps).items():
@@ -264,7 +269,7 @@ def test_raw_state_keeps_no_cancelled_word():
     alph = GradedAlphabet((1, 1), (1, 0))
     steps = _compile_word((("ginv", 1), ("g", 1)), 2, alph)
     for w in itertools.product(range(1, alph.size + 1), repeat=2):
-        basis = alph._word_key(w)
+        basis = word_key(w, alph)
         assert _apply_steps({basis: 1}, steps) == {basis: 1}, w
 
 
@@ -275,7 +280,7 @@ def _unpruned_diagonal_sums(steps, n, alph, ends):
     width = alph._letter_bits * n
     sums = {}
     for w in itertools.product(range(1, alph.size + 1), repeat=n):
-        basis = alph._word_key(w)
+        basis = word_key(w, alph)
         image = _apply_steps({basis: 1}, steps)
         diag = {key >> 2 * width: c for key, c in image.items()
                 if key & ((1 << 2 * width) - 1) == basis}
@@ -688,7 +693,7 @@ def _per_basis_report(alph, n, relations):
             sides.append(side)
         witness = None
         for w in itertools.product(range(1, alph.size + 1), repeat=n):
-            basis = alph._word_key(w)
+            basis = word_key(w, alph)
             if sides[0]({basis: 1}) != sides[1]({basis: 1}):
                 witness = list(w)
                 break
@@ -798,7 +803,7 @@ def test_flat_sides_are_linear():
     state = {}
     for i, w in enumerate(itertools.product(range(1, alph.size + 1), repeat=n)):
         mono = alph._encode(i % 3 - 1, (i % 2, 0)) << 2 * width
-        state[mono + alph._word_key(w)] = i - 4 or 7
+        state[mono + word_key(w, alph)] = i - 4 or 7
     sides = [_exchange((("xi", 2, 1), ("g", 1)), n, alph, 1, corr, -1),
              _annihilator((("ginv", 1),), n, alph, roots)]
     for side in sides:
