@@ -31,23 +31,40 @@ sides, and each side runs once on a state that holds every basis word in
 its key's basis field, so one pass per side checks the relation on all
 basis words.
 
-One pass, ``_diagonal_sums``, traces every basis word at once;
-``trace_of_word`` and the oracle both call it.  Its start state holds each
-basis word in both fields, and it gives each step the mask of the positions
-that no later step can change.  A new branch whose word differs from its own
-basis field at such a position can never return to it, so it is dropped as
-it is made; every diagonal entry stays exact.  After the last step every
-position is finished, so each surviving word is its basis word, and the
-state is the whole diagonal.  The oracle splits the standard word as ``D
-G``: ``G``, the braid generators, depends only on the part sequence, and
-``D``, the block-end color scalings, is diagonal.  So the exact diagonal of
-``G`` is summed once per part sequence and alphabet, grouped by the colors
-at the block ends, and each multipartition shifts each group's sum by its
-own u-monomial.  Per call the oracle does only per-case work: the shape it
-reads of the standard word (``n``, the part sequence, the block ends, D's
-powers there and G's symbols) is cached by the checked multipartition, and a
-packed monomial's decoding, which depends only on the color count m, is kept
-in one table per m that every alphabet with m colors shares.
+Every basis word is traced at once, in one state, by two pieces that
+``trace_of_word`` and the oracle share: ``_apply_steps`` runs steps on a
+state that holds each basis word in its key's basis field, and ``_group``
+sums the resulting diagonal by the colors at given positions.  The start
+state holds each basis word in both fields.  Given a ``pending`` mask, the
+positions a later run may change, ``_apply_steps`` gives each step the mask
+of the positions that neither a later step nor a later run can change.  A
+new branch whose word differs from its own basis field at a masked position
+can never return to it, so it is dropped as it is made; every diagonal entry
+stays exact.  Once every step has run, every position is finished, so each
+surviving word is its basis word, and the state is the whole diagonal.
+``_group`` keeps the monomial and the letters at the grouping positions,
+replaces each such letter by the first letter of its color, one position per
+pass, and builds one color tuple per group.
+
+The oracle splits the standard word as ``D G``: ``G``, the braid generators,
+depends only on the part sequence, and ``D``, the block-end color scalings,
+is diagonal.  ``G`` is a product of one braid per block, on disjoint
+positions, so it runs one block at a time, leftmost first, and the state
+after the first i blocks of size 2 or more is the same for every part
+sequence that begins with them.  Each alphabet keeps, per n, a chain of
+``((start, size), state)``, one state per block of size 2 or more of the
+last part sequence traced.  A new part sequence cuts the chain back to its
+longest matching block prefix and runs only its remaining blocks, each with
+the positions past its end pending.  Every basis word still goes through
+every generator of ``G``; only identical intermediate states are shared.
+The exact diagonal of ``G`` is then summed once per part sequence and
+alphabet, grouped by the colors at the block ends, and each multipartition
+shifts each group's sum by its own u-monomial.  Per call the oracle does only
+per-case work: the shape it reads of the standard word (``n``, the part
+sequence, the block ends, D's powers there and G's blocks) is cached by the
+checked multipartition, and a packed monomial's decoding, which depends only
+on the color count m, is kept in one table per m that every alphabet with m
+colors shares.
 """
 from __future__ import annotations
 
@@ -224,14 +241,14 @@ def _accumulate(acc: dict, c: dict, key: int, coeff: int) -> None:
             del acc[k]
 
 
-def _basis_keys(alph: GradedAlphabet, n: int):
-    """The flat key of every basis word of the n-th tensor power, the word
-    in both its key's word field and its basis field."""
+def _start(alph: GradedAlphabet, n: int) -> dict:
+    """The flat state that holds every basis word of the n-th tensor power
+    once, the word in both its key's word field and its basis field."""
     f = alph._letter_bits
     spread = (1 << f * n) + 1
     letters = range(1, alph.size + 1)
-    return map(sum, itertools.product(
-        *[[(a << (f * i)) * spread for a in letters] for i in range(n)]))
+    return dict.fromkeys(map(sum, itertools.product(
+        *[[(a << (f * i)) * spread for a in letters] for i in range(n)])), 1)
 
 
 # -- word compilation and application ---------------------------------------
@@ -290,10 +307,20 @@ def _check_reach(top: int) -> None:
         )
 
 
-def _apply_steps(state: dict, steps, width: int = 0, finished=None) -> dict:
-    """Run compiled ``steps`` on a flat state.  Step i drops each new branch
-    whose word differs from its basis field, ``width`` bits above it, on the
-    bits ``finished[i]``; with no ``finished`` nothing is dropped."""
+def _apply_steps(state: dict, steps, width: int = 0, pending=None) -> dict:
+    """Run compiled ``steps`` on a flat state.  With no ``pending`` mask
+    nothing is dropped.  With one, the state holds each basis word in its
+    basis field, ``width`` bits above the word, and each step drops the new
+    branches that differ from their basis word at a position that neither a
+    later step nor a later run can change; a later run may change the word
+    bits of ``pending``."""
+    finished = []
+    if pending is not None:
+        later = pending
+        for step in reversed(steps):
+            finished.append(((1 << width) - 1) & ~later)
+            later |= step[3]
+        finished.reverse()
     for (shift, mask, table, _, _), done in zip(
             steps, finished or itertools.repeat(0)):
         new: dict[int, int] = {}
@@ -312,46 +339,57 @@ def _apply_steps(state: dict, steps, width: int = 0, finished=None) -> dict:
     return state
 
 
+def _group(diag: dict, n: int, alph: GradedAlphabet, ends) -> dict:
+    """The entries of an exact diagonal state, summed by the tuple of the
+    word's colors at the 0-based positions ``ends``; no group's sum is 0.
+    Each surviving word is its basis word, so only the monomial and the
+    letters at ``ends`` are kept, and one pass per end replaces its letter by
+    the first letter of the same color; so one color tuple is built per
+    group."""
+    f = alph._letter_bits
+    width = f * n
+    mask = (1 << f) - 1
+    keep = -1 << 2 * width
+    for j in ends:
+        keep |= mask << (f * j)
+    colors = alph.colors
+    recolor = [0] * (mask + 1)  # the first letter of its color, minus it
+    for a in range(1, alph.size + 1):
+        recolor[a] = colors.index(colors[a]) - a
+    summed: dict[int, int] = {}
+    get = summed.get
+    for key, c in diag.items():
+        key &= keep
+        summed[key] = get(key, 0) + c
+    for j in ends:
+        shift = f * j
+        deltas = [d << shift for d in recolor]
+        state, summed = summed, {}
+        get = summed.get
+        for key, c in state.items():
+            key += deltas[(key >> shift) & mask]
+            summed[key] = get(key, 0) + c
+    groups: dict[int, dict] = {}  # the first letters at ends -> their sum
+    sums: dict[tuple, dict] = {}
+    for key, c in summed.items():
+        if c:
+            letters = key & ((1 << width) - 1)
+            acc = groups.get(letters)
+            if acc is None:
+                group = tuple([colors[(key >> (f * j)) & mask] for j in ends])
+                acc = groups[letters] = sums[group] = {}
+            acc[key >> 2 * width] = c
+    return sums
+
+
 def _diagonal_sums(steps, n: int, alph: GradedAlphabet, ends) -> dict:
     """The exact diagonal entries of ``steps`` on every basis word, summed
     by the tuple of the word's colors at the 0-based positions ``ends``; no
     group's sum is 0.  All basis words run through the steps in one state,
     and each step drops the branches that differ from their basis word at a
     position no later step changes."""
-    f = alph._letter_bits
-    width = f * n
-    finished, later = [], 0
-    for step in reversed(steps):
-        finished.append(((1 << width) - 1) & ~later)
-        later |= step[3]
-    finished.reverse()
-    diag = _apply_steps(dict.fromkeys(_basis_keys(alph, n), 1),
-                        steps, width, finished)
-    # each surviving word is its basis word: keep the monomial and the
-    # letters at ends, then sum
-    mask = (1 << f) - 1
-    keep = -1 << 2 * width
-    for j in ends:
-        keep |= mask << (f * j)
-    summed: dict[int, int] = {}
-    get = summed.get
-    for key, c in diag.items():
-        key &= keep
-        summed[key] = get(key, 0) + c
-    colors = alph.colors
-    groups: dict[int, dict] = {}  # the letters at ends -> their group's sum
-    sums: dict[tuple, dict] = {}
-    for key, c in summed.items():
-        letters = key & ((1 << width) - 1)
-        acc = groups.get(letters)
-        if acc is None:
-            group = tuple([colors[(key >> (f * j)) & mask] for j in ends])
-            acc = groups[letters] = sums.setdefault(group, {})
-        mono = key >> 2 * width
-        acc[mono] = acc.get(mono, 0) + c
-    sums = {group: {mono: c for mono, c in acc.items() if c}
-            for group, acc in sums.items()}
-    return {group: acc for group, acc in sums.items() if acc}
+    return _group(_apply_steps(_start(alph, n), steps, alph._letter_bits * n, 0),
+                  n, alph, ends)
 
 
 def trace_of_word(word, n: int, alphabet: GradedAlphabet) -> MultiPoly:
@@ -365,20 +403,23 @@ def trace_of_word(word, n: int, alphabet: GradedAlphabet) -> MultiPoly:
 
 
 @lru_cache(maxsize=1)
-def _alphabet(k, l) -> tuple[GradedAlphabet, dict]:
-    # callers visit one alphabet for many multipartitions in a row; the dict
-    # holds its diagonal sums of G per part sequence
-    return GradedAlphabet(k, l), {}
+def _alphabet(k, l) -> tuple[GradedAlphabet, dict, dict]:
+    # callers visit one alphabet for many multipartitions in a row; the
+    # first dict holds its diagonal sums of G per part sequence, the second
+    # its block chain per n
+    return GradedAlphabet(k, l), {}, {}
 
 
 @lru_cache(maxsize=1024)
 def _shape(mu) -> tuple:
     """What the oracle reads of the standard word ``word_hecke(mu) = D G``
-    of a checked multipartition: ``(n, parts, ends, powers, braid)``, with
+    of a checked multipartition: ``(n, parts, ends, powers, blocks)``, with
     ``ends`` the 0-based block ends, ``powers`` the power of D's color
-    scaling at each end (0 for component 1) and ``braid`` the symbols of G.
-    A shape that is empty or whose u-exponents may leave their packed
-    fields raises, on every call."""
+    scaling at each end (0 for component 1) and ``blocks`` the
+    ``((start, size), symbols)`` of each block of size 2 or more, left to
+    right, with the symbols of G that act inside it.  A shape that is empty
+    or whose u-exponents may leave their packed fields raises, on every
+    call."""
     parts = tuple(p for comp in mu for p in comp)
     n = sum(parts)
     if n < 1:
@@ -387,9 +428,42 @@ def _shape(mu) -> tuple:
     scale = {sym[1]: sym[2] for sym in word if sym[0] == "xi"}
     _check_reach(sum(scale.values()))
     ends = tuple(itertools.accumulate(parts))
+    blocks = tuple(
+        ((end - size, size),
+         tuple(sym for sym in word if sym[0] != "xi" and end - size < sym[1] < end))
+        for end, size in zip(ends, parts) if size >= 2
+    )
     return (n, parts, tuple(j - 1 for j in ends),
-            tuple(scale.get(j, 0) for j in ends),
-            tuple(sym for sym in word if sym[0] != "xi"))
+            tuple(scale.get(j, 0) for j in ends), blocks)
+
+
+def _braid_sums(alph: GradedAlphabet, n: int, ends, blocks, chain: list) -> dict:
+    """``_diagonal_sums`` of G, the product of ``blocks``, grouped by the
+    colors at ``ends``.  The blocks act on disjoint positions, so G runs one
+    block at a time, leftmost first, and the state after the first i blocks
+    is the same for every part sequence of size n that begins with them.
+    ``chain`` holds ``((start, size), state)`` after each block of the last
+    part sequence; it is cut back to the longest prefix shared with
+    ``blocks``, and only the remaining blocks run.  A block's steps may drop
+    a branch only at its own positions, since every later block may change
+    the positions past its end."""
+    kept = 0
+    for (span, _), (have, _) in zip(blocks, chain):
+        if span != have:
+            break
+        kept += 1
+    del chain[kept:]
+    state = chain[-1][1] if chain else None
+    f = alph._letter_bits
+    width = f * n
+    for (start, size), symbols in blocks[kept:]:
+        # the start state is built only where it is needed, and no name
+        # keeps it alive once the first step has run
+        state = _apply_steps(_start(alph, n) if state is None else state,
+                             _compile_word(symbols, n, alph), width,
+                             ((1 << width) - 1) & (-1 << f * (start + size)))
+        chain.append(((start, size), state))
+    return _group(_start(alph, n) if state is None else state, n, alph, ends)
 
 
 def char_value_oracle(mu, k, l) -> MultiPoly:
@@ -398,11 +472,11 @@ def char_value_oracle(mu, k, l) -> MultiPoly:
     ``xi`` symbols, is diagonal, so ``<w|D G|w>`` is ``<w|G|w>`` times
     ``u_c^e`` for each ``xi_j^e``, c the color of w at position j."""
     k, l = check_alphabet(k, l)
-    n, parts, ends, powers, braid = _shape(check_multipartition(mu, len(k)))
-    alph, cache = _alphabet(k, l)
+    n, parts, ends, powers, blocks = _shape(check_multipartition(mu, len(k)))
+    alph, cache, chains = _alphabet(k, l)
     groups = cache.get(parts)
     if groups is None:
-        sums = _diagonal_sums(_compile_word(braid, n, alph), n, alph, ends)
+        sums = _braid_sums(alph, n, ends, blocks, chains.setdefault(n, []))
         # each group's u-field units at the block ends, with its diagonal sum
         groups = cache[parts] = [
             (tuple([alph._u_key(c) for c in group]), diag)
@@ -433,7 +507,7 @@ def _report(alph, n, relations) -> list[dict]:
     in its key's basis field; a failure's witness is the first basis word
     whose field the two sides' images differ on."""
     width = alph._letter_bits * n
-    start = dict.fromkeys(_basis_keys(alph, n), 1)
+    start = _start(alph, n)
     report: list[dict] = []
     for name, *sides in relations:
         lhs, rhs = (s if callable(s) else _runner(s, n, alph) for s in sides)

@@ -17,6 +17,7 @@ from akchar.operators import (
     _alphabet,
     _annihilator,
     _apply_steps,
+    _braid_sums,
     _check_reach,
     _compile_word,
     _diagonal_sums,
@@ -659,6 +660,57 @@ class TestOracleCaches:
                 char_value_oracle(((), (1,) * 256), (1, 0), (0, 0))
             with pytest.raises(ValueError, match="positive size"):
                 char_value_oracle(((), ()), (1, 1), (1, 1))
+
+
+@st.composite
+def chain_requests(draw):
+    """One to three alphabets of at most 5 letters and 3 colors, and part
+    sequences of size n <= 5 requested of them in a random order, with the
+    alphabets and the sizes interleaved."""
+    alphabets = []
+    for _ in range(draw(st.integers(1, 3))):
+        m = draw(st.integers(1, 3))
+        counts = st.lists(st.integers(0, 2), min_size=m, max_size=m)
+        k, l = draw(st.tuples(counts, counts).filter(
+            lambda kl: 1 <= sum(map(sum, kl)) <= 5))
+        alphabets.append(GradedAlphabet(k, l))
+    requests = []
+    for _ in range(draw(st.integers(1, 12))):
+        i = draw(st.integers(0, len(alphabets) - 1))
+        n = draw(st.integers(1, 5))
+        requests.append((i, draw(st.sampled_from(
+            list_multipartitions(alphabets[i].m, n)))))
+    return alphabets, requests
+
+
+@settings(max_examples=40, deadline=None)
+@given(chain_requests())
+def test_block_chain_matches_whole_braid_word(case):
+    # the chain shares the state after each leading block of size >= 2
+    # between part sequences; every group sum must equal that of the whole
+    # braid word of G, applied right to left in one run with no chain
+    alphabets, requests = case
+    chains = [{} for _ in alphabets]
+    for i, mu in requests:
+        alph = alphabets[i]
+        n, parts, ends, _, blocks = _shape(mu)
+        chain = chains[i].setdefault(n, [])
+        got = _braid_sums(alph, n, ends, blocks, chain)
+        braid = [sym for sym in word_hecke(mu) if sym[0] != "xi"]
+        assert got == _diagonal_sums(_compile_word(braid, n, alph), n, alph, ends), \
+            (alph, parts)
+        assert len(chain) <= sum(part >= 2 for part in parts), (alph, parts)
+        assert [span for span, _ in chain] == [span for span, _ in blocks]
+
+
+def test_oracle_values_do_not_depend_on_request_order():
+    k = l = (1, 1)
+    mus = list_multipartitions(2, 5)
+    _alphabet.cache_clear()
+    forward = [char_value_oracle(mu, k, l) for mu in mus]
+    _alphabet.cache_clear()
+    backward = [char_value_oracle(mu, k, l) for mu in reversed(mus)]
+    assert backward[::-1] == forward
 
 
 def _assert_all_pass(report, context):
