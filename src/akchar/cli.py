@@ -271,7 +271,7 @@ def run_verify(args) -> int:
                   if value is not None]
         raise ValueError(f"--suite {args.suite} runs no case with "
                          f"{' '.join(bounds) or 'its default bounds'}")
-    all_ok = all(result.ok for result in results)
+    all_ok = not any(result.failures for result in results)
     if args.format == "json":
         doc = {
             "config": {"command": "verify", "suite": args.suite,
@@ -287,7 +287,7 @@ def run_verify(args) -> int:
     else:
         lines = []
         for result in results:
-            status = ("FAIL" if not result.ok else "pass" if result.cases
+            status = ("FAIL" if result.failures else "pass" if result.cases
                       else "empty")
             lines.append(
                 f"suite {result.name}: {result.cases} cases, "

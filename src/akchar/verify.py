@@ -1,11 +1,13 @@
 """Verification sweeps: each suite runs one family of identities over a
 bounded grid of shapes and sizes and reports every counterexample.
 
-The sweeps are pure and deterministic: each suite builds its cases in a
-fixed order and reports its failures in that order.  ``part=(i, J)`` runs
-only the i-th of J contiguous slices of the cases, so J processes can share
-one suite and their failures, joined in slice order, are those of the whole
-suite (``akchar verify --jobs J``).
+A suite is a builder that returns its grid of cases, in a fixed order, and
+one ``check`` that maps a case to None or to the report of its failure.
+``run_suite`` is the one runner: it checks the bounds, builds the grid, runs
+the check on the i-th of J contiguous slices of the cases for
+``part=(i, J)`` and counts every case of the suite.  So J processes can
+share one suite, and their failures, joined in slice order, are those of
+the whole suite (``akchar verify --jobs J``).
 """
 from __future__ import annotations
 
@@ -13,6 +15,7 @@ import itertools
 from collections import namedtuple
 
 from .combinat import (
+    check_int,
     count_semistandard,
     count_standard_multitableaux,
     format_multipartition,
@@ -41,25 +44,9 @@ from .rings import CycloElem, MultiPoly, TruncSeries, expand_at_q1, specialize_t
 __all__ = ["SuiteResult", "SUITE_NAMES", "run_suite"]
 
 
-class SuiteResult(namedtuple("SuiteResult", "name cases failures")):
-    """A suite's name, its case count and the report of each failed case."""
-
-    __slots__ = ()
-
-    @property
-    def ok(self) -> bool:
-        return not self.failures
-
-
-def _collect(name, cases, check, part=(0, 1)) -> SuiteResult:
-    """Run slice i of J of ``cases`` for ``part=(i, J)``; the result counts
-    every case of the suite."""
-    i, jobs = part
-    if not 0 <= i < jobs:
-        raise ValueError(f"part must be (i, J) with 0 <= i < J, got {part!r}")
-    total = len(cases)
-    mine = cases[total * i // jobs:total * (i + 1) // jobs]
-    return SuiteResult(name, total, [r for r in map(check, mine) if r is not None])
+SuiteResult = namedtuple("SuiteResult", "name cases failures")
+SuiteResult.__doc__ = ("A suite's name, its case count and the report of "
+                       "each failed case.")
 
 
 def _alphabet_configs(m: int, entry_cap: int, dim_lo: int, dim_hi: int):
@@ -93,9 +80,20 @@ def _character_cases(m_values, max_n, m_only, n_only):
     return cases
 
 
-def suite_oracle(max_n=None, m_only=None, n_only=None, part=(0, 1)) -> SuiteResult:
+def _hook_cases(n_hi, max_n, m_only, n_only):
+    """The ``(m, ones, mu)`` grid of the single-hook suites: every
+    multipartition mu of each size that ``_ns(1, n_hi, ...)`` picks, with m
+    colors, on the alphabet of one letter of each color and parity."""
+    cases = []
+    for m in _ms((1, 2, 3), m_only):
+        ones = (1,) * m
+        cases += [(m, ones, mu) for n in _ns(1, n_hi, max_n, n_only)
+                  for mu in list_multipartitions(m, n)]
+    return cases
+
+
+def _oracle(max_n, m_only, n_only):
     """Closed form versus brute-force trace, as canonical polynomials."""
-    cases = _character_cases((1, 2, 3), max_n, m_only, n_only)
 
     def check(case):
         mu, k, l, spec = case
@@ -108,10 +106,13 @@ def suite_oracle(max_n=None, m_only=None, n_only=None, part=(0, 1)) -> SuiteResu
             }
         return None
 
-    return _collect("oracle", cases, check, part)
+    return _character_cases((1, 2, 3), max_n, m_only, n_only), check
 
 
-def _relation_suite(name, checker, n_lo, max_n, m_only, n_only, part) -> SuiteResult:
+def _relations(checker, n_lo, max_n, m_only, n_only):
+    """A generator presentation as operator identities, on each size from
+    ``n_lo`` and each alphabet of 1 to 3 letters: the cyclotomic-generator
+    one (ak-relations) or the braid/color-scaling one (shoji-relations)."""
     cases = []
     for m in _ms((1, 2, 3), m_only):
         for k, l in _alphabet_configs(m, 3, 1, 3):
@@ -125,29 +126,11 @@ def _relation_suite(name, checker, n_lo, max_n, m_only, n_only, part) -> SuiteRe
             return {"n": n, "k": list(k), "l": list(l), "failed": bad}
         return None
 
-    return _collect(name, cases, check, part)
+    return cases, check
 
 
-def suite_ak_relations(max_n=None, m_only=None, n_only=None,
-                       part=(0, 1)) -> SuiteResult:
-    """Cyclotomic-generator presentation as operator identities."""
-    return _relation_suite(
-        "ak-relations", check_ak_presentation, 1, max_n, m_only, n_only, part
-    )
-
-
-def suite_shoji_relations(max_n=None, m_only=None, n_only=None,
-                          part=(0, 1)) -> SuiteResult:
-    """Braid/color-scaling presentation as operator identities."""
-    return _relation_suite(
-        "shoji-relations", check_shoji_presentation, 2, max_n, m_only, n_only, part
-    )
-
-
-def suite_specialization(max_n=None, m_only=None, n_only=None,
-                         part=(0, 1)) -> SuiteResult:
+def _specialization(max_n, m_only, n_only):
     """Root-of-unity specialization of the oracle versus the group formula."""
-    cases = _character_cases((1, 2, 3, 4), max_n, m_only, n_only)
 
     def check(case):
         mu, k, l, spec = case
@@ -161,11 +144,10 @@ def suite_specialization(max_n=None, m_only=None, n_only=None,
             }
         return None
 
-    return _collect("specialization", cases, check, part)
+    return _character_cases((1, 2, 3, 4), max_n, m_only, n_only), check
 
 
-def suite_theta_closed_forms(max_n=None, m_only=None, n_only=None,
-                             part=(0, 1)) -> SuiteResult:
+def _theta_closed_forms(max_n, m_only, n_only):
     """Enumerated length slices versus the two closed forms."""
     cases = [(i, a) for i in _ms((1, 2, 3), m_only) for a in _ns(1, 8, max_n, n_only)]
 
@@ -178,10 +160,10 @@ def suite_theta_closed_forms(max_n=None, m_only=None, n_only=None,
                         "enumerated": slices[j].to_text(), "closed": closed.to_text()}
         return None
 
-    return _collect("theta-closed-forms", cases, check, part)
+    return cases, check
 
 
-def suite_coef(max_n=None, m_only=None, n_only=None, part=(0, 1)) -> SuiteResult:
+def _coef(max_n, m_only, n_only):
     """Single-hook coefficient identities: the exact first-color value, the
     first-order expansion, and reassembly into the block trace."""
     sizes = _ns(1, 8, max_n, n_only)
@@ -220,18 +202,13 @@ def suite_coef(max_n=None, m_only=None, n_only=None, part=(0, 1)) -> SuiteResult
                         "sum": total.to_text(), "theta": want.to_text()}
         return None
 
-    return _collect("coef", cases, check, part)
+    return cases, check
 
 
-def suite_hook_sum(max_n=None, m_only=None, n_only=None, part=(0, 1)) -> SuiteResult:
+def _hook_sum(max_n, m_only, n_only):
     """Truncated expansion of the single-hook oracle trace versus the
     weighted hook-sum product, plus the exact single-row values."""
-    cases = []
-    for m in _ms((1, 2, 3), m_only):
-        ones = (1,) * m
-        for n in _ns(1, 4, max_n, n_only):
-            for mu in list_multipartitions(m, n):
-                cases.append(("mod-t2", m, ones, mu))
+    cases = [("mod-t2", *case) for case in _hook_cases(4, max_n, m_only, n_only)]
     for n in _ns(1, 6, max_n, n_only):
         if m_only in (None, 1):
             cases.append(("exact-row", 1, (1,), ((n,),)))
@@ -260,18 +237,12 @@ def suite_hook_sum(max_n=None, m_only=None, n_only=None, part=(0, 1)) -> SuiteRe
                     "oracle_mod_t2": got.to_text(), "hook_sum": want.to_text()}
         return None
 
-    return _collect("hook-sum", cases, check, part)
+    return cases, check
 
 
-def suite_wreath(max_n=None, m_only=None, n_only=None, part=(0, 1)) -> SuiteResult:
+def _wreath(max_n, m_only, n_only):
     """Group specialization of the single-hook oracle versus the wreath
     closed form (an integer)."""
-    cases = []
-    for m in _ms((1, 2, 3), m_only):
-        ones = (1,) * m
-        for n in _ns(1, 5, max_n, n_only):
-            for mu in list_multipartitions(m, n):
-                cases.append((m, ones, mu))
 
     def check(case):
         m, ones, mu = case
@@ -282,11 +253,10 @@ def suite_wreath(max_n=None, m_only=None, n_only=None, part=(0, 1)) -> SuiteResu
                     "specialized": got.to_text(), "wreath": want.to_text()}
         return None
 
-    return _collect("wreath", cases, check, part)
+    return _hook_cases(5, max_n, m_only, n_only), check
 
 
-def suite_dimension_identity(max_n=None, m_only=None, n_only=None,
-                             part=(0, 1)) -> SuiteResult:
+def _dimension_identity(max_n, m_only, n_only):
     """Tableau-count identities: filling counts are positive exactly on hook
     shapes, single-hook counts are powers of two, and the weighted counts
     resolve the full tensor-power dimension."""
@@ -325,19 +295,23 @@ def suite_dimension_identity(max_n=None, m_only=None, n_only=None,
                     "sum": total, "expected": expected}
         return None
 
-    return _collect("dimension-identity", cases, check, part)
+    return cases, check
 
 
+# suite name -> builder(max_n, m_only, n_only) -> (cases, check).  The
+# presentation suites name their checker when they are built, not here, so a
+# checker patched on this module (as bench/spans.py does) is the one they run.
 _SUITES = {
-    "oracle": suite_oracle,
-    "ak-relations": suite_ak_relations,
-    "shoji-relations": suite_shoji_relations,
-    "specialization": suite_specialization,
-    "theta-closed-forms": suite_theta_closed_forms,
-    "coef": suite_coef,
-    "hook-sum": suite_hook_sum,
-    "wreath": suite_wreath,
-    "dimension-identity": suite_dimension_identity,
+    "oracle": _oracle,
+    "ak-relations": lambda *bounds: _relations(check_ak_presentation, 1, *bounds),
+    "shoji-relations": lambda *bounds: _relations(check_shoji_presentation, 2,
+                                                  *bounds),
+    "specialization": _specialization,
+    "theta-closed-forms": _theta_closed_forms,
+    "coef": _coef,
+    "hook-sum": _hook_sum,
+    "wreath": _wreath,
+    "dimension-identity": _dimension_identity,
 }
 
 SUITE_NAMES = list(_SUITES)
@@ -345,10 +319,25 @@ SUITE_NAMES = list(_SUITES)
 
 def run_suite(name: str, max_n=None, m_only=None, n_only=None,
               part=(0, 1)) -> SuiteResult:
+    """Run suite ``name`` on sizes up to ``max_n`` (default: the suite's own
+    bound), only on m = ``m_only`` and n = ``n_only`` where given, and only
+    on slice i of J of its cases for ``part=(i, J)``; the result still
+    counts every case of the suite."""
     try:
-        fn = _SUITES[name]
+        build = _SUITES[name]
     except KeyError:
         raise ValueError(
             f"unknown suite {name!r}; choose from {', '.join(SUITE_NAMES)} or all"
         )
-    return fn(max_n=max_n, m_only=m_only, n_only=n_only, part=part)
+    i, jobs = part if isinstance(part, tuple) and len(part) == 2 else (None, None)
+    if not (type(i) is int and type(jobs) is int and 0 <= i < jobs):
+        raise ValueError(
+            f"part must be (i, J) with integers 0 <= i < J, got {part!r}")
+    for value, what, low in ((max_n, "max_n", 0), (m_only, "m_only", 1),
+                             (n_only, "n_only", 0)):
+        if value is not None:
+            check_int(value, what, low)
+    cases, check = build(max_n, m_only, n_only)
+    total = len(cases)
+    mine = cases[total * i // jobs:total * (i + 1) // jobs]
+    return SuiteResult(name, total, [r for r in map(check, mine) if r is not None])

@@ -17,17 +17,7 @@ from akchar.rings import (
     expand_at_q1,
     specialize_to_group,
 )
-from akchar.verify import (
-    suite_ak_relations,
-    suite_coef,
-    suite_dimension_identity,
-    suite_hook_sum,
-    suite_oracle,
-    suite_shoji_relations,
-    suite_specialization,
-    suite_theta_closed_forms,
-    suite_wreath,
-)
+from akchar.verify import run_suite
 
 
 def _report(number, name, cases, failures):
@@ -38,47 +28,47 @@ def _report(number, name, cases, failures):
 
 
 def test_criterion_01_oracle_equivalence():
-    result = suite_oracle()
+    result = run_suite("oracle")
     _report(1, "closed form equals brute-force trace "
                "(m<=3, entries<=2, dim 1..4, n<=4)", result.cases, result.failures)
 
 
 def test_criterion_02_presentations():
-    ak = suite_ak_relations()
-    shoji = suite_shoji_relations()
+    ak = run_suite("ak-relations")
+    shoji = run_suite("shoji-relations")
     _report(2, "generator presentations hold on every basis word "
                "(n<=3, m<=3, dim<=3)", ak.cases + shoji.cases,
             ak.failures + shoji.failures)
 
 
 def test_criterion_03_group_specialization():
-    result = suite_specialization()
+    result = run_suite("specialization")
     _report(3, "specialized oracle equals group formula (m<=4, n<=4)",
             result.cases, result.failures)
 
 
 def test_criterion_04_closed_forms_and_coef():
-    slices = suite_theta_closed_forms()
-    coefs = suite_coef()
+    slices = run_suite("theta-closed-forms")
+    coefs = run_suite("coef")
     _report(4, "single-hook slice closed forms and coefficient expansions "
                "(i<=3, a<=8)", slices.cases + coefs.cases,
             slices.failures + coefs.failures)
 
 
 def test_criterion_05_hook_sum_mod_t2():
-    result = suite_hook_sum()
+    result = run_suite("hook-sum")
     _report(5, "hook-sum identity mod t^2 plus exact single-row values "
                "(m<=3, n<=4)", result.cases, result.failures)
 
 
 def test_criterion_06_wreath_values():
-    result = suite_wreath()
+    result = run_suite("wreath")
     _report(6, "wreath hook values at the group specialization (m<=3, n<=5)",
             result.cases, result.failures)
 
 
 def test_criterion_07_tableau_combinatorics():
-    result = suite_dimension_identity()
+    result = run_suite("dimension-identity")
     _report(7, "hook support, power-of-two counts, dimension identity "
                "(n<=5)", result.cases, result.failures)
 
@@ -148,8 +138,8 @@ def test_criterion_08_ring_suite():
 
 
 def test_criterion_09_two_component_case(capsys):
-    hook = suite_hook_sum(m_only=2)
-    wreath = suite_wreath(m_only=2)
+    hook = run_suite("hook-sum", m_only=2)
+    wreath = run_suite("wreath", m_only=2)
     failures = list(hook.failures) + list(wreath.failures)
     cases = hook.cases + wreath.cases
 

@@ -443,16 +443,33 @@ class TestVerifyJobs:
 
 
 def test_suite_slices_join_to_the_suite(monkeypatch):
-    monkeypatch.setattr(verify, "bracket", _plus_one(verify.bracket))
-    whole = verify.run_suite("coef")
-    assert whole.failures
-    for jobs in (1, 2, 3, 40):
-        parts = [verify.run_suite("coef", part=(i, jobs)) for i in range(jobs)]
-        assert {part.cases for part in parts} == {whole.cases}
-        assert [f for part in parts for f in part.failures] == whole.failures
-    for part in ((1, 1), (-1, 2), (0, 0)):
-        with pytest.raises(ValueError, match="part must be"):
-            verify.run_suite("coef", part=part)
+    # each injected fault fails some cases of its suite; for every J the
+    # slices count the whole suite and their failures join to the suite's
+    for suite, name, wrong, _ in _INJECTED_FAULTS:
+        with monkeypatch.context() as patch:
+            patch.setattr(verify, name, wrong(getattr(verify, name)))
+            whole = verify.run_suite(suite, max_n=2)
+            assert whole.failures, (suite, name)
+            for jobs in (2, 3, 7):
+                parts = [verify.run_suite(suite, max_n=2, part=(i, jobs))
+                         for i in range(jobs)]
+                assert {part.cases for part in parts} == {whole.cases}, (suite, name)
+                assert [f for part in parts for f in part.failures] == whole.failures
+
+
+@pytest.mark.parametrize("what, value", [
+    ("part", (1, 1)), ("part", (-1, 2)), ("part", (0, 0)), ("part", (0.5, 2)),
+    ("part", (0, 2.0)), ("part", ("0", 2)), ("part", (True, 2)),
+    ("part", (0, 1, 2)), ("part", 1),
+    ("max_n", 2.5), ("max_n", True), ("max_n", -1),
+    ("m_only", 1.0), ("m_only", True), ("m_only", 0),
+    ("n_only", True), ("n_only", 0.0), ("n_only", -1),
+])
+def test_run_suite_rejects_bad_arguments(what, value):
+    # run_suite is public: a fractional, bool or out-of-range bound or slice
+    # is an error naming its argument, not truncated, taken as 1 or passed on
+    with pytest.raises(ValueError, match=f"^{what} must be"):
+        verify.run_suite("coef", **{what: value})
 
 
 class TestComparePair:
