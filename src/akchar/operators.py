@@ -36,12 +36,20 @@ Every basis word is traced at once, in one state, by two pieces that
 state that holds each basis word in its key's basis field, and ``_group``
 sums the resulting diagonal by the colors at given positions.  The start
 state holds each basis word in both fields.  Given a ``pending`` mask, the
-positions a later run may change, ``_apply_steps`` gives each step the mask
-of the positions that neither a later step nor a later run can change.  A
-new branch whose word differs from its own basis field at a masked position
-can never return to it, so it is dropped as it is made; every diagonal entry
-stays exact.  Once every step has run, every position is finished, so each
-surviving word is its basis word, and the state is the whole diagonal.
+positions a later run may change, a position that is not pending is
+finished from the start or from the last step that moves it.  A word that
+differs from its own basis field at a finished position can never return to
+it, so it is dropped.  An input word matches its basis at every position
+that is not pending, and each term of a swap permutes the letter pair it
+acts on.  So when no earlier step can have changed a letter of its pair, the
+table entry alone decides which terms survive: the step runs a copy of its
+table without the terms that change a letter at a position it finishes,
+built once per step and kept with it.  A step whose pair an earlier step
+may have changed, as in a word that revisits positions, runs its plain
+table, and one pass over its output drops the keys that differ from their
+basis at a finished position.  Either way every diagonal entry stays exact.
+Once every step has run, every position is finished, so each surviving word
+is its basis word, and the state is the whole diagonal.
 ``_group`` keeps the monomial and the letters at the grouping positions,
 replaces each such letter by the first letter of its color, one position per
 pass, and builds one color tuple per group.
@@ -192,11 +200,12 @@ class GradedAlphabet:
 
     def _step(self, n: int, tag: str, pos: int, e: int) -> tuple:
         """The compiled step of one symbol at the 0-based position ``pos`` of
-        the n-th tensor power: ``(shift, mask, table, moves, e)``, where
-        ``moves`` holds the word bits the step may change and ``e`` is the
-        power of a color scaling (0 for a swap).  Built once per alphabet
-        and n; the first swap of a kind builds that kind at every position
-        from one ``_terms`` call per letter pair."""
+        the n-th tensor power: ``(shift, mask, table, moves, e, pruned)``,
+        where ``moves`` holds the word bits the step may change, ``e`` is the
+        power of a color scaling (0 for a swap) and ``pruned`` keeps the
+        step's pruned tables (see ``_pruned``).  Built once per alphabet and
+        n; the first swap of a kind builds that kind at every position from
+        one ``_terms`` call per letter pair."""
         step = self._steps.get((n, tag, pos, e))
         if step is not None:
             return step
@@ -208,7 +217,7 @@ class GradedAlphabet:
             table = [None] * (1 << f)
             for a in letters:
                 table[a] = ((shifts[a] << above, 1),)
-            step = self._steps[n, tag, pos, e] = (f * pos, (1 << f) - 1, table, 0, e)
+            step = self._steps[n, tag, pos, e] = (f * pos, (1 << f) - 1, table, 0, e, {})
             return step
         rules = {(a, b): self._terms(tag, a, b) for a in letters for b in letters}
         q_at = self._shift + above
@@ -221,7 +230,7 @@ class GradedAlphabet:
                     ((eq << q_at) + ((x - a + ((y - b) << f)) << shift), coeff)
                     for (x, y), eq, coeff in terms
                 ])
-            self._steps[n, tag, i, 0] = (shift, mask, table, mask << shift, 0)
+            self._steps[n, tag, i, 0] = (shift, mask, table, mask << shift, 0, {})
         return self._steps[n, tag, pos, e]
 
     def __repr__(self) -> str:
@@ -307,34 +316,69 @@ def _check_reach(top: int) -> None:
         )
 
 
+def _pruned(step, fixed: int) -> list:
+    """The table of ``step`` without the terms that change a word bit of
+    ``fixed``; built once per step and ``fixed`` and kept in the step, so it
+    is freed with the alphabet's step cache."""
+    shift, _, table, _, _, pruned = step
+    kept = pruned.get(fixed)
+    if kept is None:
+        kept = pruned[fixed] = [
+            None if terms is None else tuple([
+                (delta, coeff) for delta, coeff in terms
+                if not (((i << shift) + delta) ^ (i << shift)) & fixed])
+            for i, terms in enumerate(table)]
+    return kept
+
+
 def _apply_steps(state: dict, steps, width: int = 0, pending=None) -> dict:
     """Run compiled ``steps`` on a flat state.  With no ``pending`` mask
     nothing is dropped.  With one, the state holds each basis word in its
-    basis field, ``width`` bits above the word, and each step drops the new
-    branches that differ from their basis word at a position that neither a
-    later step nor a later run can change; a later run may change the word
-    bits of ``pending``."""
-    finished = []
+    basis field, ``width`` bits above the word; each word must equal its
+    basis word outside ``pending``, the word bits a later run may change.  A
+    term is dropped once its word differs from its basis word at a finished
+    position, one that neither a later step nor a later run can change.
+
+    A position not pending is finished from the start or from the last step
+    that moves it, and each term of a swap permutes the step's letter pair.
+    So while no word can differ from its basis at that pair, the table entry
+    alone decides: the step runs its table pruned of the terms that change a
+    letter at a position it finishes (``_pruned``), and every survivor equals
+    its basis at both positions.  Where an earlier step may have left a
+    changed letter there, the step runs its plain table and then drops each
+    key that differs from its basis at a finished position.  Either way a
+    step keeps exactly the terms that the check of every new term would keep,
+    in the same order."""
+    finished = [0] * len(steps)
     if pending is not None:
         later = pending
-        for step in reversed(steps):
-            finished.append(((1 << width) - 1) & ~later)
-            later |= step[3]
-        finished.reverse()
-    for (shift, mask, table, _, _), done in zip(
-            steps, finished or itertools.repeat(0)):
+        for i in range(len(steps) - 1, -1, -1):
+            finished[i] = ((1 << width) - 1) & ~later
+            later |= steps[i][3]
+    changed = pending or 0  # the word bits where a word may differ from its basis
+    for step, done in zip(steps, finished):
+        shift, mask, table, moves, _, _ = step
+        fixed = done & moves
+        check = 0
+        if not fixed:
+            changed |= moves
+        elif moves & changed:
+            check = done
+            changed = (changed | moves) & ~done
+        else:
+            table = _pruned(step, fixed)
         new: dict[int, int] = {}
         get = new.get
         for key, c in state.items():
             for delta, coeff in table[(key >> shift) & mask]:
                 key2 = key + delta
-                if ((key2 >> width) ^ key2) & done:
-                    continue
                 value = get(key2, 0) + c * coeff
                 if value:
                     new[key2] = value
                 else:
                     del new[key2]
+        if check:
+            new = {key: c for key, c in new.items() if not ((key >> width) ^ key) & check}
         state = new
     return state
 
@@ -396,6 +440,7 @@ def trace_of_word(word, n: int, alphabet: GradedAlphabet) -> MultiPoly:
     """Exact trace of an operator word over all basis words of the n-th
     tensor power.  Its symbols are ``('g', i)``, ``('ginv', i)``, ``('swap',
     i)``, ``('xi', j, e)`` and ``('g0',)``."""
+    check_int(n, "n", 0)
     steps = _compile_word(word, n, alphabet)
     _check_reach(sum(step[4] for step in steps))
     return alphabet.poly_from_raw(

@@ -6,6 +6,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from akchar import operators
 from akchar.combinat import (
     count_semistandard, list_graded_pairs, list_multipartitions, word_hecke,
 )
@@ -24,6 +25,7 @@ from akchar.operators import (
     _exchange,
     _report,
     _shape,
+    _start,
     _zero,
     char_value_oracle,
     check_ak_presentation,
@@ -394,6 +396,103 @@ def test_trace_of_revisiting_word_matches_multipoly_reference(case):
     assert trace_of_word(word, n, alph) == expected, word
 
 
+def _per_term_apply_steps(state, steps, width=0, pending=None):
+    """The step loop with the finished-position check made on every new
+    term: a term is dropped as it is made when its word differs from its
+    basis word at a position that neither a later step nor a later run
+    (``pending``) can change."""
+    finished = []
+    if pending is not None:
+        later = pending
+        for step in reversed(steps):
+            finished.append(((1 << width) - 1) & ~later)
+            later |= step[3]
+        finished.reverse()
+    for (shift, mask, table, *_), done in zip(steps, finished or itertools.repeat(0)):
+        new = {}
+        for key, c in state.items():
+            for delta, coeff in table[(key >> shift) & mask]:
+                key2 = key + delta
+                if ((key2 >> width) ^ key2) & done:
+                    continue
+                value = new.get(key2, 0) + c * coeff
+                if value:
+                    new[key2] = value
+                else:
+                    del new[key2]
+        state = new
+    return state
+
+
+def _assert_per_term_result(state, steps, width, pending):
+    # the same keys and coefficients, in the same order
+    got = _apply_steps(state, steps, width, pending)
+    assert list(got.items()) == \
+        list(_per_term_apply_steps(state, steps, width, pending).items())
+    return got
+
+
+def test_step_loop_matches_per_term_check_on_oracle_block_runs(monkeypatch):
+    # every block run of the oracle, with the chain's own pending masks, on
+    # the criterion-01 grid and on the wreath grid of m = 2, n <= 6; every
+    # step of those runs finishes the left position of its pair, so each
+    # runs a pruned table
+    runs = []
+
+    def checked(state, steps, width=0, pending=None):
+        runs.append(steps)
+        return _assert_per_term_result(state, steps, width, pending)
+
+    monkeypatch.setattr(operators, "_apply_steps", checked)
+    cases = [(mu, k, l) for m in (1, 2, 3) for k, l in _alphabet_configs(m, 2, 1, 4)
+             for n in range(1, 5) for mu in list_multipartitions(m, n)]
+    cases += [(mu, (1, 1), (1, 1)) for n in range(1, 7)
+              for mu in list_multipartitions(2, n)]
+    _alphabet.cache_clear()
+    for mu, k, l in cases:
+        char_value_oracle(mu, k, l)
+    assert len(runs) > 2000
+    assert all(step[5] for steps in runs for step in steps)
+
+
+@st.composite
+def pending_word_cases(draw):
+    """An alphabet of at most 4 letters, n <= 4, a word over g, ginv, swap,
+    xi and g0, and a pending mask of whole positions or of any word bits."""
+    m = draw(st.integers(1, 2))
+    counts = st.lists(st.integers(0, 2), min_size=m, max_size=m)
+    k, l = draw(st.tuples(counts, counts).filter(lambda kl: 1 <= sum(map(sum, kl)) <= 4))
+    alph = GradedAlphabet(k, l)
+    n = draw(st.integers(2, 4))
+    braid = st.tuples(st.sampled_from(["g", "ginv", "swap"]), st.integers(1, n - 1))
+    xi = st.tuples(st.just("xi"), st.integers(1, n), st.integers(1, 2))
+    word = draw(st.lists(st.one_of(braid, braid, xi, st.just(("g0",))), max_size=6))
+    f = alph._letter_bits
+    positions = st.sets(st.integers(0, n - 1)).map(
+        lambda ps: sum(((1 << f) - 1) << f * p for p in ps))
+    pending = draw(st.one_of(positions, st.integers(0, (1 << f * n) - 1)))
+    return alph, n, word, pending
+
+
+@settings(max_examples=100, deadline=None)
+@given(pending_word_cases())
+def test_step_loop_matches_per_term_check_on_drawn_words(case):
+    alph, n, word, pending = case
+    steps = _compile_word(word, n, alph)
+    _assert_per_term_result(_start(alph, n), steps, alph._letter_bits * n, pending)
+
+
+@pytest.mark.parametrize("word, n", [((("g", 1), ("g", 1)), 2),
+                                     ((("g", 1), ("g", 2), ("g", 1)), 3)])
+def test_step_loop_matches_per_term_check_on_revisiting_words(word, n):
+    # the last step revisits a position an earlier step may have changed, so
+    # no step runs a pruned table: each finishing step filters its output
+    alph = GradedAlphabet((1, 1), (1, 0))
+    steps = _compile_word(word, n, alph)
+    _assert_per_term_result(_start(alph, n), steps, alph._letter_bits * n, 0)
+    assert not any(step[5] for step in steps)
+
+
 class TestApplyGenerator:
     def test_quantum_swap_mixed_parity(self):
         alph = GradedAlphabet((1,), (1,))  # letter 1 even, letter 2 odd
@@ -414,6 +513,15 @@ class TestApplyGenerator:
         alph = GradedAlphabet((1, 1), (0, 0))  # two even letters, colors 1, 2
         got = apply_word((("swap", 1),), unit((1, 2), 2), alph, 2)
         assert got == {(2, 1): mp("1", 2)}
+
+    @pytest.mark.parametrize("n", [True, 1.5, "2", -1])
+    def test_trace_rejects_bad_size(self, n):
+        alph = GradedAlphabet((1,), (1,))
+        with pytest.raises(ValueError, match="^n must be a nonnegative integer"):
+            trace_of_word([], n, alph)
+
+    def test_trace_of_empty_word_at_size_0(self):
+        assert trace_of_word([], 0, GradedAlphabet((1,), (1,))) == 1
 
     def test_index_out_of_range(self):
         alph = GradedAlphabet((1,), (1,))
